@@ -1,10 +1,15 @@
 """Pure-Python word kernel for the trivialization search.
 
 Letters are ints: generator i is 2*i, its inverse 2*i+1, so xor 1 inverts a
-letter.  The compiled twin (_kernel_c) implements the same API; keep the two
-in lock step.
+letter.  Words are tuples of letters.  The keys are built on ``bytes``: each
+cyclic core is converted once, relabeled with ``bytes.translate`` and rotated
+by comparing ``bytes`` slices; ``bytes`` order equals the order of the int
+tuples, so the chosen form is the tuple form.  The compiled twin (_kernel_c)
+implements the same API and must produce the same key bytes; keep the two in
+lock step.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
 
@@ -22,12 +27,17 @@ def invert_word(word):
     return tuple(a ^ 1 for a in reversed(word))
 
 
-def cyclic_core(word):
+def _cyclic_core(word):
+    """Cyclic core of a tuple or bytes word, as the same type."""
     i, j = 0, len(word) - 1
     while i < j and word[i] == word[j] ^ 1:
         i += 1
         j -= 1
-    return tuple(word[i:j + 1])
+    return word[i:j + 1]
+
+
+def cyclic_core(word):
+    return tuple(_cyclic_core(word))
 
 
 def multiply_relator(r, s, conj):
@@ -40,16 +50,29 @@ def conjugate_relator(r, conj):
     return cyclic_core(reduce_word(conj + r + invert_word(conj)))
 
 
-def least_rotation(word):
+def _least_rotation(word):
+    """Least rotation of a tuple or bytes word, as the same type.
+
+    The least rotation starts with the smallest letter m, at the start of a
+    maximal cyclic run of m: a start inside a run loses to the one before
+    it, which begins with one more m.  Only those starts are compared.
+    """
     n = len(word)
     if n < 2:
-        return tuple(word)
+        return word
+    m = min(word)
+    starts = [k for k in range(n) if word[k] == m and word[k - 1] != m]
+    if not starts:      # one letter repeated
+        return word
+    if len(starts) == 1:
+        k = starts[0]
+        return word[k:] + word[:k]
     doubled = word + word
-    best = 0
-    for k in range(1, n):
-        if doubled[k:k + n] < doubled[best:best + n]:
-            best = k
-    return tuple(doubled[best:best + n])
+    return min(doubled[k:k + n] for k in starts)
+
+
+def least_rotation(word):
+    return _least_rotation(tuple(word))
 
 
 def canon_relator(word):
@@ -62,49 +85,88 @@ def canon_relator(word):
     return a if a <= b else b
 
 
-def relabel_word(word, perm):
-    return tuple((perm[a >> 1] << 1) | (a & 1) for a in word)
-
-
-def _minimized_form(relators, n_gens, fold_inversion):
+def _check_letters(relators, n_gens):
     for r in relators:
         for a in r:
             if not 0 <= a < 2 * n_gens:
                 raise ValueError(f"letter {a} out of range for {n_gens} generators")
-    cores = [cyclic_core(r) for r in relators]
-    best = None
+
+
+def _byte_cores(relators, n_gens):
+    """The relators' cyclic cores as bytes, after the letter-range check."""
+    try:
+        words = [bytes(tuple(r)) for r in relators]
+    except (TypeError, ValueError):
+        _check_letters(relators, n_gens)
+        raise
+    if any(w and max(w) >= 2 * n_gens for w in words):
+        _check_letters(relators, n_gens)
+    return [_cyclic_core(w) for w in words]
+
+
+def _relabel_tables(n_gens):
+    """Per generator permutation, a bytes.translate table that relabels a
+    word, and one that turns the reversed word into its relabeled inverse."""
+    pairs = [bytes((2 * g, 2 * g + 1)) for g in range(n_gens)]
+    swapped = [pair[::-1] for pair in pairs]
+    unused = bytes(range(2 * n_gens, 256))
     for perm in permutations(range(n_gens)):
+        yield (b"".join([pairs[g] for g in perm]) + unused,
+               b"".join([swapped[g] for g in perm]) + unused)
+
+
+# Tables are kept for up to 7 generators (5040 permutations, about 3 MB);
+# beyond that they are built afresh for each key.
+_CACHED_TABLE_GENS = 7
+
+
+@lru_cache(maxsize=None)
+def _cached_relabel_tables(n_gens):
+    return tuple(_relabel_tables(n_gens))
+
+
+def _minimized_form(relators, n_gens, fold_inversion):
+    """Sorted least rotations of the cyclic cores as bytes, minimized over
+    generator relabelings; with fold_inversion each relator is the lesser
+    of its own and its inverse's least rotation."""
+    cores = _byte_cores(relators, n_gens)
+    reversed_cores = [c[::-1] for c in cores] if fold_inversion else None
+    tables = (_cached_relabel_tables(n_gens) if n_gens <= _CACHED_TABLE_GENS
+              else _relabel_tables(n_gens))
+    best = None
+    for relabel, relabel_inverse in tables:
         if fold_inversion:
-            rels = (canon_relator(relabel_word(c, perm)) for c in cores)
+            form = [min(_least_rotation(c.translate(relabel)),
+                        _least_rotation(rc.translate(relabel_inverse)))
+                    for c, rc in zip(cores, reversed_cores)]
         else:
-            rels = (least_rotation(relabel_word(c, perm)) for c in cores)
-        form = tuple(sorted(rels))
+            form = [_least_rotation(c.translate(relabel)) for c in cores]
+        form.sort()
         if best is None or form < best:
             best = form
-    return best if best is not None else ()
+    return best
 
 
 def canonical_form(relators, n_gens):
     """Sorted canonical relators (rotation and inversion quotiented),
     minimized over generator relabelings."""
-    return _minimized_form(relators, n_gens, True)
+    return tuple(tuple(r) for r in _minimized_form(relators, n_gens, True))
 
 
 def _serialize(form, n_gens):
-    out = bytearray()
-    out.append(n_gens)
+    out = bytearray((n_gens,))
     for rel in form:
         if len(rel) > 254:
             raise ValueError("relator too long for key serialization")
         out.append(len(rel))
-        out.extend(rel)
+        out += rel
     return bytes(out)
 
 
 def canonical_key(relators, n_gens):
     """Stable byte key: equal exactly up to relator order, relator
     inversion, cyclic rotation, and generator relabeling."""
-    return _serialize(canonical_form(relators, n_gens), n_gens)
+    return _serialize(_minimized_form(relators, n_gens, True), n_gens)
 
 
 def search_key(relators, n_gens):

@@ -27,7 +27,25 @@ def _as_word(value) -> Word:
         return value
     if isinstance(value, str):
         return Word.from_text(value)
-    return Word(value)
+    try:
+        letters = [(sym, sign) for sym, sign in value]
+        ok = all(isinstance(sym, str) and sign in (1, -1) for sym, sign in letters)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise PresentationError(
+            f"bad word {value!r}: expected word text or (generator, +-1) letters")
+    return Word(letters)
+
+
+def _check_generator(name) -> None:
+    """Generator names must be single tokens of the word syntax: a lowercase
+    first letter, since the uppercased token names the inverse."""
+    if not (isinstance(name, str) and name.split() == [name]
+            and name[0].isalpha() and name[0].islower()):
+        raise PresentationError(
+            f"bad generator name {name!r}: generator names are single tokens "
+            "that start with a lowercase letter")
 
 
 class Presentation:
@@ -37,6 +55,8 @@ class Presentation:
 
     def __init__(self, generators: Iterable[str], relators: Iterable = ()):
         gens = tuple(generators)
+        for g in gens:
+            _check_generator(g)
         if len(set(gens)) != len(gens):
             raise PresentationError(f"duplicate generators in {gens}")
         rels = tuple(_as_word(r) for r in relators)
@@ -82,6 +102,9 @@ class Presentation:
             rels = data["relators"]
         except (KeyError, TypeError) as exc:
             raise PresentationError(f"presentation JSON missing field: {exc}")
+        if not (isinstance(gens, list) and isinstance(rels, list)):
+            raise PresentationError(
+                "presentation JSON 'generators' and 'relators' must be lists")
         return cls(gens, rels)
 
     def dumps(self) -> str:

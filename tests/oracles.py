@@ -4,11 +4,13 @@ Nothing here imports the code paths under test: Smith normal forms are
 checked through determinantal divisors, slope classification through exact
 curve tracing on the flat pillowcase, intersection numbers by literally
 counting crossings in a fundamental domain, and the trivialization search
-against a dumb exhaustive BFS on raw presentations.
+against a dumb exhaustive BFS on raw presentations.  The search keys are
+checked against the plain tuple implementation the byte-level kernel
+replaced.
 """
 
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 
@@ -302,3 +304,78 @@ def brute_force_trivializable(generators, relators, max_total, max_depth,
                     nxt.append(child)
         frontier = nxt
     return False
+
+
+# ---------------------------------------------------------------------------
+# search keys: the reference tuple implementation
+# ---------------------------------------------------------------------------
+# Letters are ints, generator i is 2*i and its inverse 2*i+1.  Every
+# rotation is sliced and compared, and every relator is relabeled letter by
+# letter, once per generator permutation.
+
+def _ref_cyclic_core(word):
+    i, j = 0, len(word) - 1
+    while i < j and word[i] == word[j] ^ 1:
+        i += 1
+        j -= 1
+    return tuple(word[i:j + 1])
+
+
+def _ref_least_rotation(word):
+    n = len(word)
+    if n < 2:
+        return tuple(word)
+    doubled = word + word
+    best = 0
+    for k in range(1, n):
+        if doubled[k:k + n] < doubled[best:best + n]:
+            best = k
+    return tuple(doubled[best:best + n])
+
+
+def _ref_canon_relator(word):
+    core = _ref_cyclic_core(word)
+    if not core:
+        return ()
+    a = _ref_least_rotation(core)
+    b = _ref_least_rotation(tuple(x ^ 1 for x in reversed(core)))
+    return a if a <= b else b
+
+
+def _ref_minimized_form(relators, n_gens, fold_inversion):
+    for r in relators:
+        for a in r:
+            if not 0 <= a < 2 * n_gens:
+                raise ValueError(f"letter {a} out of range for {n_gens} generators")
+    cores = [_ref_cyclic_core(r) for r in relators]
+    best = None
+    for perm in permutations(range(n_gens)):
+        relabeled = [tuple((perm[a >> 1] << 1) | (a & 1) for a in c)
+                     for c in cores]
+        if fold_inversion:
+            rels = (_ref_canon_relator(c) for c in relabeled)
+        else:
+            rels = (_ref_least_rotation(c) for c in relabeled)
+        form = tuple(sorted(rels))
+        if best is None or form < best:
+            best = form
+    return best if best is not None else ()
+
+
+def _ref_serialize(form, n_gens):
+    out = bytearray()
+    out.append(n_gens)
+    for rel in form:
+        if len(rel) > 254:
+            raise ValueError("relator too long for key serialization")
+        out.append(len(rel))
+        out.extend(rel)
+    return bytes(out)
+
+
+def ref_search_key(relators, n_gens):
+    return _ref_serialize(_ref_minimized_form(relators, n_gens, False), n_gens)
+
+
+def ref_canonical_key(relators, n_gens):
+    return _ref_serialize(_ref_minimized_form(relators, n_gens, True), n_gens)

@@ -9,7 +9,7 @@ from kirbycalc.acsearch import (BoundsError, SearchConfig, TraceError,
 from kirbycalc.acsearch import _kernel_py
 from kirbycalc.presentations import BalancedPresentation, ak_presentation
 
-from oracles import brute_force_trivializable
+from oracles import brute_force_trivializable, ref_canonical_key, ref_search_key
 
 try:
     from kirbycalc.acsearch import _kernel_c
@@ -46,6 +46,104 @@ class TestCanonicalKey:
         assert key == canonical_key(ak_presentation(0, "y x"))
         assert isinstance(key, bytes) and key[0] == 2
 
+
+
+def _rotated(word, shift):
+    k = shift % len(word) if word else 0
+    return word[k:] + word[:k]
+
+
+def _family_word(n, shift):
+    """x^(n+1) Y^n, rotated: the long relator of the family."""
+    return _rotated((0,) * (n + 1) + (3,) * n, shift)
+
+
+@st.composite
+def key_inputs(draw):
+    """1-3 generators and up to 3 relators of 0-300 letters: reduced words,
+    unreduced ones, words whose cores cancel completely, rotated family
+    words, and now and then a letter out of range."""
+    n_gens = draw(st.integers(min_value=1, max_value=3))
+    letters = st.integers(min_value=0, max_value=2 * n_gens - 1)
+    words = st.integers(min_value=0, max_value=300).flatmap(
+        lambda n: st.lists(letters, min_size=n, max_size=n)).map(tuple)
+    relator = st.one_of(
+        words.map(_kernel_py.reduce_word),
+        words,
+        words.map(lambda w: w[:150] + _kernel_py.invert_word(w[:150])),
+        st.builds(_family_word, st.integers(min_value=0, max_value=149),
+                  st.integers(min_value=0)),
+        st.lists(st.integers(min_value=-2, max_value=2 * n_gens + 1),
+                 max_size=12).map(tuple))
+    return draw(st.lists(relator, max_size=3)), n_gens
+
+
+def _outcome(key, rels, n_gens):
+    try:
+        return key(rels, n_gens)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestKeyBytes:
+    """The byte-level keys equal the reference tuple implementation."""
+
+    @given(key_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_keys_equal_reference(self, case):
+        rels, n_gens = case
+        assert _outcome(_kernel_py.search_key, rels, n_gens) == \
+            _outcome(ref_search_key, rels, n_gens)
+        assert _outcome(_kernel_py.canonical_key, rels, n_gens) == \
+            _outcome(ref_canonical_key, rels, n_gens)
+
+    @pytest.mark.parametrize("rels, n_gens, message", [
+        (((0, 1, 4),), 2, "letter 4 out of range for 2 generators"),
+        (((0, 2), (-1,)), 2, "letter -1 out of range for 2 generators"),
+        (((0, 2), (3, 5, 0)), 3, None),
+        (((0,) * 128 + (3,) * 127,), 2,
+         "relator too long for key serialization"),
+        ((_family_word(127, 5), (4,)), 3,
+         "relator too long for key serialization"),
+    ])
+    def test_errors_match_reference(self, rels, n_gens, message):
+        for key, ref in ((_kernel_py.search_key, ref_search_key),
+                         (_kernel_py.canonical_key, ref_canonical_key)):
+            if message is None:
+                assert key(rels, n_gens) == ref(rels, n_gens)
+                continue
+            with pytest.raises(ValueError, match=message):
+                ref(rels, n_gens)
+            with pytest.raises(ValueError, match=message):
+                key(rels, n_gens)
+
+    def test_many_generators(self):
+        # past the cached relabeling tables
+        rels = ((0, 4, 9, 14, 3), (15, 2, 2, 6))
+        assert _kernel_py.search_key(rels, 8) == ref_search_key(rels, 8)
+
+
+class TestLeastRotation:
+    @given(st.one_of(
+        st.builds(lambda a, k: (a,) * k, st.integers(min_value=0, max_value=5),
+                  st.integers(min_value=0, max_value=40)),
+        st.builds(lambda k, s: _rotated((0, 2) * k, s),
+                  st.integers(min_value=1, max_value=40), st.integers()),
+        st.builds(_family_word, st.integers(min_value=0, max_value=60),
+                  st.integers()),
+        st.lists(st.integers(min_value=0, max_value=5), max_size=60).map(tuple)))
+    @settings(max_examples=300)
+    def test_is_least_of_all_rotations(self, word):
+        least = min((_rotated(word, k) for k in range(len(word))), default=())
+        assert _kernel_py.least_rotation(word) == least
+        assert _kernel_py.least_rotation(list(word)) == least
+        assert _kernel_py._least_rotation(bytes(word)) == bytes(least)
+
+    def test_examples(self):
+        assert _kernel_py.least_rotation((2, 2, 2)) == (2, 2, 2)
+        assert _kernel_py.least_rotation((2, 0, 2, 0)) == (0, 2, 0, 2)
+        assert _kernel_py.least_rotation((3, 0, 0, 3, 0)) == (0, 0, 3, 0, 3)
+        assert _kernel_py.least_rotation(()) == ()
 
 @pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not built")
 class TestKernelTwins:

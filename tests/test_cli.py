@@ -96,6 +96,18 @@ class TestAcSearch:
                            "--max-total-length", "6", "--max-depth", "1")
         assert code == 1 and "unbalanced" in err
 
+    @pytest.mark.parametrize("data", [
+        {"generators": ["x", "y"], "relators": [5, "y"]},
+        {"generators": ["x", ""], "relators": ["x", "x"]},
+        {"generators": ["x", "Xa"], "relators": ["x", "x"]},
+    ], ids=["integer-relator", "empty-generator", "uppercase-generator"])
+    def test_malformed_presentation_rejected(self, capsys, tmp_path, data):
+        path = write(tmp_path, "p.json", data)
+        code, _, err = run(capsys, "ac-search", path,
+                           "--max-total-length", "6", "--max-depth", "1")
+        assert code == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestKirby:
     def test_apply_check_h1(self, capsys, zero2, tmp_path):

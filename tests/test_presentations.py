@@ -32,6 +32,25 @@ class TestStructure:
         with pytest.raises(UnknownGeneratorError):
             B(("x",), ("y",))
 
+    @pytest.mark.parametrize("gens", [("x", ""), ("x", "Xa"), ("x", "y z"),
+                                      ("x", 3), ("x", "2y")])
+    def test_bad_generator_names(self, gens):
+        with pytest.raises(PresentationError, match="bad generator name"):
+            Presentation(gens, ())
+
+    @pytest.mark.parametrize("rel", [5, None, [("x", 2)], ["x"], [(1, 1)]])
+    def test_bad_relators(self, rel):
+        with pytest.raises(PresentationError, match="bad word"):
+            Presentation(("x",), (rel,))
+
+    def test_relator_as_letters(self):
+        p = Presentation(("x", "y"), ([("x", 1), ("y", -1)],))
+        assert texts(p) == ["x Y"]
+
+    def test_json_fields_must_be_lists(self):
+        with pytest.raises(PresentationError, match="must be lists"):
+            Presentation.from_json({"generators": 5, "relators": []})
+
     def test_json_roundtrip(self):
         p = ak_presentation(2, "y x")
         data = json.loads(json.dumps(p.to_json()))
