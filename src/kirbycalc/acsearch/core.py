@@ -12,7 +12,6 @@ before it is returned.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -37,6 +36,12 @@ class TraceError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Bounds of one search.
+
+    The search runs in one thread.  ``workers`` is validated (>= 1) and
+    reported, but does not change the run or its results.
+    """
+
     max_total_length: int
     max_depth: int
     conjugator_depth: int = 1
@@ -237,9 +242,10 @@ def _expand(rels, gens, cfg: SearchConfig, base_gens: int):
 def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
     """Breadth-first bounded search for a trivializing move sequence.
 
-    The status (trivialized / exhausted / budget) is deterministic for a
-    fixed config, independent of the worker count; traces may differ but are
-    always validated by replay before being reported.
+    The search runs in one thread.  The status (trivialized / exhausted /
+    budget), the stats and the trace are deterministic for a fixed config
+    and do not depend on ``cfg.workers``; a trace is validated by replay
+    before it is reported.
     """
     if not isinstance(p, BalancedPresentation):
         raise BoundsError("search requires a balanced presentation")
@@ -261,47 +267,31 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
     budget_hit = False
     goal: Optional[tuple[bytes, dict]] = None
 
-    def expand_one(node):
-        _, nrels, ngens = node
-        return _expand(nrels, ngens, cfg, base_gens)
+    for _depth in range(cfg.max_depth):
+        if not frontier or goal is not None:
+            break
+        take = len(frontier)
+        if stats.nodes_expanded + take > cfg.node_budget:
+            take = cfg.node_budget - stats.nodes_expanded
+            budget_hit = True
+        stats.nodes_expanded += take
 
-    executor = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        for _depth in range(cfg.max_depth):
-            if not frontier or goal is not None:
-                break
-            take = len(frontier)
-            if stats.nodes_expanded + take > cfg.node_budget:
-                take = cfg.node_budget - stats.nodes_expanded
-                budget_hit = True
-            batch = frontier[:take]
-            if executor is not None:
-                expansions = list(executor.map(expand_one, batch))
-            else:
-                expansions = [expand_one(node) for node in batch]
-            stats.nodes_expanded += take
-
-            next_frontier = []
-            for (node_key, _, _), children in zip(batch, expansions):
-                for move, crels, cgens in children:
-                    if goal is None and kernel.is_trivial_encoded(crels, len(cgens)):
-                        goal = (node_key, move)
-                    key = kernel.search_key(crels, len(cgens))
-                    if key not in parents:
-                        parents[key] = (node_key, move)
-                        next_frontier.append((key, crels, cgens))
-            if goal is not None:
-                break
-            if budget_hit:
-                break
-            frontier = next_frontier
-            stats.max_frontier = max(stats.max_frontier, len(frontier))
-            if stats.nodes_expanded >= cfg.node_budget and frontier:
-                budget_hit = True
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+        next_frontier = []
+        for node_key, nrels, ngens in frontier[:take]:
+            for move, crels, cgens in _expand(nrels, ngens, cfg, base_gens):
+                if goal is None and kernel.is_trivial_encoded(crels, len(cgens)):
+                    goal = (node_key, move)
+                key = kernel.search_key(crels, len(cgens))
+                if key not in parents:
+                    parents[key] = (node_key, move)
+                    next_frontier.append((key, crels, cgens))
+        if goal is not None or budget_hit:
+            break
+        frontier = next_frontier
+        stats.max_frontier = max(stats.max_frontier, len(frontier))
+        if stats.nodes_expanded >= cfg.node_budget and frontier:
+            budget_hit = True
+            break
 
     stats.distinct_keys = len(parents)
 

@@ -1,30 +1,187 @@
-"""Select the compiled word kernel when available, else the pure twin.
+"""Word kernel of the trivialization search.
 
-Set KIRBYCALC_PURE=1 to force the pure-Python kernel.
+Letters are ints: generator i is 2*i, its inverse 2*i+1, so xor 1 inverts a
+letter.  Words are tuples of letters.  The keys are built on ``bytes``: each
+cyclic core is converted once, relabeled with ``bytes.translate`` and rotated
+by comparing ``bytes`` slices; ``bytes`` order equals the order of the int
+tuples, so the chosen form is the tuple form.
 """
 
-import os
+from functools import lru_cache
+from itertools import permutations
 
-from . import _kernel_py
 
-if os.environ.get("KIRBYCALC_PURE"):
-    impl = _kernel_py
-    IMPL_NAME = "python"
-else:
+def reduce_word(seq):
+    stack = []
+    for a in seq:
+        if stack and stack[-1] == a ^ 1:
+            stack.pop()
+        else:
+            stack.append(a)
+    return tuple(stack)
+
+
+def invert_word(word):
+    return tuple(a ^ 1 for a in reversed(word))
+
+
+def _cyclic_core(word):
+    """Cyclic core of a tuple or bytes word, as the same type."""
+    i, j = 0, len(word) - 1
+    while i < j and word[i] == word[j] ^ 1:
+        i += 1
+        j -= 1
+    return word[i:j + 1]
+
+
+def cyclic_core(word):
+    return tuple(_cyclic_core(word))
+
+
+def join_reduced(u, v):
+    """Freely reduced u * v for freely reduced u and v.
+
+    Only the junction can cancel, so the longest suffix of u that is the
+    inverse of a prefix of v is dropped with that prefix.
+    """
+    n = len(u)
+    m = min(n, len(v))
+    k = 0
+    while k < m and u[n - 1 - k] == v[k] ^ 1:
+        k += 1
+    return u[:n - k] + v[k:]
+
+
+def multiply_relator(r, s, conj):
+    """Freely reduced r * conj * s * conj^-1; r, s and conj must be freely
+    reduced."""
+    return join_reduced(r, join_reduced(join_reduced(conj, s),
+                                        invert_word(conj)))
+
+
+def conjugate_relator(r, conj):
+    """Cyclically reduced conj * r * conj^-1; r and conj must be freely
+    reduced."""
+    return cyclic_core(join_reduced(join_reduced(conj, r), invert_word(conj)))
+
+
+def _least_rotation(word):
+    """Least rotation of a tuple or bytes word, as the same type.
+
+    The least rotation starts with the smallest letter m, at the start of a
+    maximal cyclic run of m: a start inside a run loses to the one before
+    it, which begins with one more m.  Only those starts are compared.
+    """
+    n = len(word)
+    if n < 2:
+        return word
+    m = min(word)
+    starts = [k for k in range(n) if word[k] == m and word[k - 1] != m]
+    if not starts:      # one letter repeated
+        return word
+    if len(starts) == 1:
+        k = starts[0]
+        return word[k:] + word[:k]
+    doubled = word + word
+    return min(doubled[k:k + n] for k in starts)
+
+
+def least_rotation(word):
+    return _least_rotation(tuple(word))
+
+
+def _check_letters(relators, n_gens):
+    for r in relators:
+        for a in r:
+            if not 0 <= a < 2 * n_gens:
+                raise ValueError(f"letter {a} out of range for {n_gens} generators")
+
+
+def _byte_cores(relators, n_gens):
+    """The relators' cyclic cores as bytes, after the letter-range check."""
     try:
-        from . import _kernel_c as impl
-        IMPL_NAME = "cython"
-    except ImportError:
-        impl = _kernel_py
-        IMPL_NAME = "python"
+        words = [bytes(tuple(r)) for r in relators]
+    except (TypeError, ValueError):
+        _check_letters(relators, n_gens)
+        raise
+    if any(w and max(w) >= 2 * n_gens for w in words):
+        _check_letters(relators, n_gens)
+    return [_cyclic_core(w) for w in words]
 
-reduce_word = impl.reduce_word
-invert_word = impl.invert_word
-cyclic_core = impl.cyclic_core
-multiply_relator = impl.multiply_relator
-conjugate_relator = impl.conjugate_relator
-canon_relator = impl.canon_relator
-canonical_form = impl.canonical_form
-canonical_key = impl.canonical_key
-search_key = impl.search_key
-is_trivial_encoded = impl.is_trivial_encoded
+
+def _relabel_tables(n_gens):
+    """Per generator permutation, a bytes.translate table that relabels a
+    word, and one that turns the reversed word into its relabeled inverse."""
+    pairs = [bytes((2 * g, 2 * g + 1)) for g in range(n_gens)]
+    swapped = [pair[::-1] for pair in pairs]
+    unused = bytes(range(2 * n_gens, 256))
+    for perm in permutations(range(n_gens)):
+        yield (b"".join([pairs[g] for g in perm]) + unused,
+               b"".join([swapped[g] for g in perm]) + unused)
+
+
+# Tables are kept for up to 7 generators (5040 permutations, about 3 MB);
+# beyond that they are built afresh for each key.
+_CACHED_TABLE_GENS = 7
+
+
+@lru_cache(maxsize=None)
+def _cached_relabel_tables(n_gens):
+    return tuple(_relabel_tables(n_gens))
+
+
+def _minimized_form(relators, n_gens, fold_inversion):
+    """Sorted least rotations of the cyclic cores as bytes, minimized over
+    generator relabelings; with fold_inversion each relator is the lesser
+    of its own and its inverse's least rotation."""
+    cores = _byte_cores(relators, n_gens)
+    reversed_cores = [c[::-1] for c in cores] if fold_inversion else None
+    tables = (_cached_relabel_tables(n_gens) if n_gens <= _CACHED_TABLE_GENS
+              else _relabel_tables(n_gens))
+    best = None
+    for relabel, relabel_inverse in tables:
+        if fold_inversion:
+            form = [min(_least_rotation(c.translate(relabel)),
+                        _least_rotation(rc.translate(relabel_inverse)))
+                    for c, rc in zip(cores, reversed_cores)]
+        else:
+            form = [_least_rotation(c.translate(relabel)) for c in cores]
+        form.sort()
+        if best is None or form < best:
+            best = form
+    return best
+
+
+def _serialize(form, n_gens):
+    out = bytearray((n_gens,))
+    for rel in form:
+        if len(rel) > 254:
+            raise ValueError("relator too long for key serialization")
+        out.append(len(rel))
+        out += rel
+    return bytes(out)
+
+
+def canonical_key(relators, n_gens):
+    """Stable byte key: equal exactly up to relator order, relator
+    inversion, cyclic rotation, and generator relabeling."""
+    return _serialize(_minimized_form(relators, n_gens, True), n_gens)
+
+
+def search_key(relators, n_gens):
+    """Dedup key for the move search: quotients relator order, rotation and
+    relabeling but NOT inversion, which is itself a move."""
+    return _serialize(_minimized_form(relators, n_gens, False), n_gens)
+
+
+def is_trivial_encoded(relators, n_gens):
+    """True when the relators are, up to order and inversion, exactly the
+    generators, each once."""
+    if len(relators) != n_gens:
+        return False
+    seen = set()
+    for r in relators:
+        if len(r) != 1:
+            return False
+        seen.add(r[0] >> 1)
+    return len(seen) == n_gens

@@ -6,15 +6,10 @@ from hypothesis import given, settings, strategies as st
 from kirbycalc.acsearch import (BoundsError, SearchConfig, TraceError,
                                 canonical_key, is_trivial_form, replay_trace,
                                 search)
-from kirbycalc.acsearch import _kernel_py
+from kirbycalc.acsearch import kernel
 from kirbycalc.presentations import BalancedPresentation, ak_presentation
 
 from oracles import brute_force_trivializable, ref_canonical_key, ref_search_key
-
-try:
-    from kirbycalc.acsearch import _kernel_c
-except ImportError:
-    _kernel_c = None
 
 B = BalancedPresentation
 
@@ -68,9 +63,9 @@ def key_inputs(draw):
     words = st.integers(min_value=0, max_value=300).flatmap(
         lambda n: st.lists(letters, min_size=n, max_size=n)).map(tuple)
     relator = st.one_of(
-        words.map(_kernel_py.reduce_word),
+        words.map(kernel.reduce_word),
         words,
-        words.map(lambda w: w[:150] + _kernel_py.invert_word(w[:150])),
+        words.map(lambda w: w[:150] + kernel.invert_word(w[:150])),
         st.builds(_family_word, st.integers(min_value=0, max_value=149),
                   st.integers(min_value=0)),
         st.lists(st.integers(min_value=-2, max_value=2 * n_gens + 1),
@@ -92,9 +87,9 @@ class TestKeyBytes:
     @settings(max_examples=150, deadline=None)
     def test_keys_equal_reference(self, case):
         rels, n_gens = case
-        assert _outcome(_kernel_py.search_key, rels, n_gens) == \
+        assert _outcome(kernel.search_key, rels, n_gens) == \
             _outcome(ref_search_key, rels, n_gens)
-        assert _outcome(_kernel_py.canonical_key, rels, n_gens) == \
+        assert _outcome(kernel.canonical_key, rels, n_gens) == \
             _outcome(ref_canonical_key, rels, n_gens)
 
     @pytest.mark.parametrize("rels, n_gens, message", [
@@ -107,8 +102,8 @@ class TestKeyBytes:
          "relator too long for key serialization"),
     ])
     def test_errors_match_reference(self, rels, n_gens, message):
-        for key, ref in ((_kernel_py.search_key, ref_search_key),
-                         (_kernel_py.canonical_key, ref_canonical_key)):
+        for key, ref in ((kernel.search_key, ref_search_key),
+                         (kernel.canonical_key, ref_canonical_key)):
             if message is None:
                 assert key(rels, n_gens) == ref(rels, n_gens)
                 continue
@@ -120,7 +115,7 @@ class TestKeyBytes:
     def test_many_generators(self):
         # past the cached relabeling tables
         rels = ((0, 4, 9, 14, 3), (15, 2, 2, 6))
-        assert _kernel_py.search_key(rels, 8) == ref_search_key(rels, 8)
+        assert kernel.search_key(rels, 8) == ref_search_key(rels, 8)
 
 
 class TestLeastRotation:
@@ -135,48 +130,55 @@ class TestLeastRotation:
     @settings(max_examples=300)
     def test_is_least_of_all_rotations(self, word):
         least = min((_rotated(word, k) for k in range(len(word))), default=())
-        assert _kernel_py.least_rotation(word) == least
-        assert _kernel_py.least_rotation(list(word)) == least
-        assert _kernel_py._least_rotation(bytes(word)) == bytes(least)
+        assert kernel.least_rotation(word) == least
+        assert kernel.least_rotation(list(word)) == least
+        assert kernel._least_rotation(bytes(word)) == bytes(least)
 
     def test_examples(self):
-        assert _kernel_py.least_rotation((2, 2, 2)) == (2, 2, 2)
-        assert _kernel_py.least_rotation((2, 0, 2, 0)) == (0, 2, 0, 2)
-        assert _kernel_py.least_rotation((3, 0, 0, 3, 0)) == (0, 0, 3, 0, 3)
-        assert _kernel_py.least_rotation(()) == ()
+        assert kernel.least_rotation((2, 2, 2)) == (2, 2, 2)
+        assert kernel.least_rotation((2, 0, 2, 0)) == (0, 2, 0, 2)
+        assert kernel.least_rotation((3, 0, 0, 3, 0)) == (0, 0, 3, 0, 3)
+        assert kernel.least_rotation(()) == ()
 
-@pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not built")
-class TestKernelTwins:
-    @given(encoded_words, encoded_words,
-           st.lists(st.integers(min_value=0, max_value=5), max_size=5))
-    @settings(max_examples=300)
-    def test_word_ops_agree(self, w, v, c):
-        w = _kernel_py.reduce_word(w)
-        v = _kernel_py.reduce_word(v)
-        c = _kernel_py.reduce_word(c)
-        assert _kernel_c.reduce_word(w) == w
-        assert _kernel_c.invert_word(w) == _kernel_py.invert_word(w)
-        assert _kernel_c.cyclic_core(w) == _kernel_py.cyclic_core(w)
-        assert _kernel_c.multiply_relator(w, v, c) == \
-            _kernel_py.multiply_relator(w, v, c)
-        assert _kernel_c.conjugate_relator(w, c) == \
-            _kernel_py.conjugate_relator(w, c)
-        assert _kernel_c.canon_relator(w) == _kernel_py.canon_relator(w)
 
-    @given(st.data())
+reduced_words = encoded_words.map(kernel.reduce_word)
+
+
+@st.composite
+def join_inputs(draw):
+    """Reduced r, s and c (c often empty), where r and s are now and then
+    built to cancel partly or fully against c and each other."""
+    inv, red = kernel.invert_word, kernel.reduce_word
+    c = draw(st.one_of(st.just(()), reduced_words))
+    w = draw(reduced_words)
+    r = draw(st.one_of(reduced_words, st.just(red(inv(c) + w + c))))
+    s = draw(st.one_of(reduced_words, st.just(inv(r)),
+                       st.just(red(inv(c) + inv(r) + c)),
+                       st.just(red(inv(c) + inv(r) + c + w))))
+    return r, s, c
+
+
+class TestJoinReduced:
+    """The junction-only products equal free reduction of the plain
+    concatenation, for freely reduced inputs."""
+
+    @given(join_inputs())
     @settings(max_examples=200)
-    def test_keys_agree(self, data):
-        n_gens = data.draw(st.integers(min_value=1, max_value=3))
-        raw = data.draw(st.lists(
-            st.lists(st.integers(min_value=0, max_value=2 * n_gens - 1),
-                     max_size=16), min_size=1, max_size=3))
-        rels = tuple(_kernel_py.reduce_word(w) for w in raw)
-        assert _kernel_c.canonical_key(rels, n_gens) == \
-            _kernel_py.canonical_key(rels, n_gens)
-        assert _kernel_c.search_key(rels, n_gens) == \
-            _kernel_py.search_key(rels, n_gens)
-        assert _kernel_c.is_trivial_encoded(rels, n_gens) == \
-            _kernel_py.is_trivial_encoded(rels, n_gens)
+    def test_matches_plain_reduction(self, case):
+        r, s, c = case
+        inv, red = kernel.invert_word, kernel.reduce_word
+        assert kernel.join_reduced(r, s) == red(r + s)
+        assert kernel.multiply_relator(r, s, c) == red(r + c + s + inv(c))
+        assert kernel.conjugate_relator(r, c) == \
+            kernel.cyclic_core(red(c + r + inv(c)))
+
+    def test_full_cancellation(self):
+        r, c = (0, 2, 1), (3, 4)
+        assert kernel.join_reduced(r, kernel.invert_word(r)) == ()
+        s = kernel.reduce_word(kernel.invert_word(c) + kernel.invert_word(r) + c)
+        assert kernel.multiply_relator(r, s, c) == ()
+        assert kernel.conjugate_relator((5, 2, 0, 3, 4), c) == (0,)
+        assert kernel.multiply_relator((), (), ()) == ()
 
 
 class TestTrivialForm:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from kirbycalc.cli import main
 
@@ -200,3 +201,65 @@ class TestPipeline:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "pipeline")
         assert code == 1
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+_junk = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6))
+_malformed = st.one_of(
+    st.fixed_dictionaries({
+        "generators": st.lists(st.sampled_from(["x", "y", "a1", "Xa", ""])
+                               | _junk, max_size=3) | _junk,
+        "relators": st.lists(
+            st.lists(st.sampled_from(["x", "Y", "q"]), max_size=60).map(" ".join)
+            | _junk | st.lists(_junk | st.lists(_junk, max_size=2), max_size=3),
+            max_size=3) | _junk}),
+    _junk, st.lists(_junk, max_size=3))
+
+
+@st.composite
+def _well_formed(draw):
+    """1-3 generators and, mostly, as many relators of up to 60 letters."""
+    gens = ["x", "y", "z"][:draw(st.integers(min_value=1, max_value=3))]
+    word = st.lists(st.sampled_from(gens + [g.upper() for g in gens]),
+                    max_size=60).map(" ".join)
+    count = len(gens) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return {"generators": gens,
+            "relators": draw(st.lists(word, min_size=count, max_size=count))}
+
+
+_search_flags = st.lists(
+    st.tuples(st.sampled_from(["--max-depth", "--conj-depth", "--budget",
+                               "--stabilizations", "--threads"]),
+              st.integers(min_value=-2, max_value=2))
+    | st.tuples(st.just("--max-total-length"),
+                st.integers(min_value=-5, max_value=40)),
+    max_size=3)
+
+
+class TestFuzz:
+    """Random presentation JSON, half of it well formed so that the search
+    and the enumeration run, and random flags, zero and negative values
+    included: every run keeps the exit-code contract and prints no
+    traceback."""
+
+    @given(st.booleans().flatmap(
+               lambda ok: _well_formed() if ok else _malformed),
+           _search_flags, st.integers(min_value=-2, max_value=200))
+    # tmp_path and capsys are safe to share between examples: the file is
+    # rewritten and the output drained each time.  On a failure, shrinking
+    # every distinct error and the explain phase take minutes; one error,
+    # shrunk without the explain phase, takes seconds.
+    @settings(max_examples=100, deadline=None, report_multiple_bugs=False,
+              phases=[p for p in Phase if p is not Phase.explain],
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_codes(self, capsys, tmp_path, data, flags, max_cosets):
+        path = write(tmp_path, "p.json", data)
+        # the default budget is large; keep every search small
+        search = ["ac-search", path, "--budget", "3"]
+        for flag, value in flags:
+            search += [flag, str(value)]
+        for argv in (search, ["certify", path, "--max-cosets", str(max_cosets)]):
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2), (argv, code, err)
+            assert "Traceback" not in err
