@@ -12,13 +12,13 @@ before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .. import presentations as pres
 from ..presentations import BalancedPresentation, fresh_generator
-from ..words import Word
+from ..words import Word, decode_word, encode_word, letter_codes
 from . import kernel
 
 
@@ -60,12 +60,7 @@ class SearchConfig:
             raise ValueError("workers must be >= 1")
 
     def to_json(self) -> dict:
-        return {"max_total_length": self.max_total_length,
-                "max_depth": self.max_depth,
-                "conjugator_depth": self.conjugator_depth,
-                "node_budget": self.node_budget,
-                "stabilizations": self.stabilizations,
-                "workers": self.workers}
+        return asdict(self)
 
 
 @dataclass
@@ -75,9 +70,7 @@ class SearchStats:
     max_frontier: int = 0
 
     def to_json(self) -> dict:
-        return {"nodes_expanded": self.nodes_expanded,
-                "distinct_keys": self.distinct_keys,
-                "max_frontier": self.max_frontier}
+        return asdict(self)
 
 
 TRIVIALIZED = "trivialized"
@@ -100,18 +93,9 @@ class SearchOutcome:
 
 # -- encoding ---------------------------------------------------------------
 
-def _encode_word(word: Word, index: dict) -> tuple[int, ...]:
-    return tuple((index[sym] << 1) | (0 if sign > 0 else 1)
-                 for sym, sign in word.letters)
-
-
-def _decode_word(code, gens) -> Word:
-    return Word([(gens[a >> 1], 1 if a & 1 == 0 else -1) for a in code])
-
-
 def encode_presentation(p: BalancedPresentation):
-    index = {g: i for i, g in enumerate(p.generators)}
-    return tuple(_encode_word(r, index) for r in p.relators), p.generators
+    codes = letter_codes(p.generators)
+    return tuple(encode_word(r, codes) for r in p.relators), p.generators
 
 
 def canonical_key(p: BalancedPresentation) -> bytes:
@@ -177,7 +161,7 @@ def replay_trace(p: BalancedPresentation, trace) -> BalancedPresentation:
 # -- expansion --------------------------------------------------------------
 
 def _decode_conj(conj, gens) -> str:
-    return _decode_word(conj, gens).to_text()
+    return decode_word(conj, gens).to_text()
 
 
 def _expand(rels, gens, cfg: SearchConfig, base_gens: int):

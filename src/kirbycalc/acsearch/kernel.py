@@ -1,7 +1,7 @@
 """Word kernel of the trivialization search.
 
-Letters are ints: generator i is 2*i, its inverse 2*i+1, so xor 1 inverts a
-letter.  Words are tuples of letters.  The keys are built on ``bytes``: each
+Letters are the int codes of ``words.letter_codes``: generator i is 2*i, its
+inverse 2*i+1, so xor 1 inverts a letter.  Words are tuples of letters.  The keys are built on ``bytes``: each
 cyclic core is converted once, relabeled with ``bytes.translate`` and rotated
 by comparing ``bytes`` slices; ``bytes`` order equals the order of the int
 tuples, so the chosen form is the tuple form.

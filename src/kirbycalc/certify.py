@@ -9,9 +9,10 @@ group orders, in particular order 1 for presentations of the trivial group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .presentations import Presentation
+from .words import encode_word, letter_codes
 
 
 class MatrixError(ValueError):
@@ -24,7 +25,14 @@ class IntegerMatrix:
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(v) for v in row) for row in entries)
+        try:
+            rows = tuple(tuple(row) for row in entries)
+        except TypeError:
+            raise MatrixError("a matrix is a list of rows of integers") from None
+        for row in rows:
+            for v in row:
+                if type(v) is not int:
+                    raise MatrixError(f"matrix entries must be integers, got {v!r}")
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise MatrixError("ragged rows")
         object.__setattr__(self, "entries", rows)
@@ -33,14 +41,6 @@ class IntegerMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegerMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)])
 
     def __getitem__(self, key):
         i, j = key
@@ -62,9 +62,6 @@ class IntegerMatrix:
         return IntegerMatrix(
             [[sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
               for j in range(other.cols)] for i in range(self.rows)])
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(list(zip(*self.entries))) if self.rows else self
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -231,24 +228,25 @@ class AbelianGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
+def _cokernel(mat: IntegerMatrix, cols: int) -> AbelianGroup:
+    """Cokernel of ``mat`` as a map into Z^cols: the free rank counts the
+    columns without a nonzero pivot, the torsion is the pivots above 1."""
+    diag = smith_normal_form(mat).diagonal
+    free = cols - sum(1 for d in diag if d != 0)
+    return AbelianGroup(free, tuple(d for d in diag if d > 1))
+
+
 def h1_from_matrix(mat: IntegerMatrix) -> AbelianGroup:
     """Cokernel of a square integer matrix as an abelian group."""
     if not mat.is_square():
         raise MatrixError(
             f"cokernel descriptor needs a square matrix, got {mat.rows}x{mat.cols}")
-    diag = smith_normal_form(mat).diagonal
-    rank = sum(1 for d in diag if d == 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianGroup(rank, torsion)
+    return _cokernel(mat, mat.cols)
 
 
 def abelianization(p: Presentation) -> AbelianGroup:
     """Abelianization of a presented group (rectangular matrices allowed)."""
-    mat = exponent_matrix(p)
-    diag = smith_normal_form(mat).diagonal
-    free = mat.cols - sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianGroup(free, torsion)
+    return _cokernel(exponent_matrix(p), len(p.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +280,6 @@ class CosetTable:
         return data
 
 
-def _letter_index(generators: Sequence[str]):
-    idx = {}
-    for k, g in enumerate(generators):
-        idx[(g, 1)] = 2 * k
-        idx[(g, -1)] = 2 * k + 1
-    return idx
-
-
 def todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
     """Enumerate cosets of the trivial subgroup of the presented group.
 
@@ -301,9 +291,9 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     gens = p.generators
-    letter = _letter_index(gens)
+    codes = letter_codes(gens)
     width = 2 * len(gens)
-    relator_paths = [tuple(letter[l] for l in r.letters) for r in p.relators]
+    relator_paths = [encode_word(r, codes) for r in p.relators]
 
     table: list[list[Optional[int]]] = [[None] * width]
     rep: list[int] = [0]            # union-find for coincidences
@@ -433,7 +423,7 @@ def verify_coset_table(result: CosetTable, p: Presentation) -> bool:
     table = result.table
     n = len(table)
     width = 2 * len(p.generators)
-    letter = _letter_index(p.generators)
+    codes = letter_codes(p.generators)
     for c in range(n):
         if len(table[c]) != width:
             return False
@@ -453,7 +443,7 @@ def verify_coset_table(result: CosetTable, p: Presentation) -> bool:
     if len(seen) != n:
         return False
     for r in p.relators:
-        path = [letter[l] for l in r.letters]
+        path = encode_word(r, codes)
         for c in range(n):
             d = c
             for x in path:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .certify import AbelianGroup, IntegerMatrix, h1_from_matrix
+from .certify import AbelianGroup, IntegerMatrix, MatrixError, h1_from_matrix
 
 PLAIN = "plain"
 DOTTED = "dotted"
@@ -37,6 +37,10 @@ class Component:
     unknotted: bool = False
 
     def __post_init__(self):
+        if self.framing is not None and type(self.framing) is not int:
+            raise ModelError(f"framing must be an integer, got {self.framing!r}")
+        if type(self.unknotted) is not bool:
+            raise ModelError(f"unknotted must be true or false, got {self.unknotted!r}")
         if self.kind not in (PLAIN, DOTTED):
             raise ModelError(f"component kind must be plain or dotted, got {self.kind!r}")
         if self.kind == DOTTED and self.framing is not None:
@@ -54,9 +58,16 @@ class Component:
 
     @classmethod
     def from_json(cls, data: dict) -> "Component":
+        if not isinstance(data, dict):
+            raise ModelError(f"a component is a JSON object, got {data!r}")
         return cls(kind=data.get("kind", PLAIN),
                    framing=data.get("framing"),
-                   unknotted=bool(data.get("unknotted", False)))
+                   unknotted=data.get("unknotted", False))
+
+
+def _check_sign(sign) -> None:
+    if type(sign) is not int or sign not in (1, -1):
+        raise IllegalMove("sign must be +1 or -1")
 
 
 class FramedLinkModel:
@@ -66,10 +77,14 @@ class FramedLinkModel:
 
     def __init__(self, components: Iterable[Component], linking):
         comps = tuple(components)
-        matrix = tuple(tuple(int(v) for v in row) for row in linking)
         n = len(comps)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
+        try:
+            mat = IntegerMatrix(linking)
+        except MatrixError as exc:
+            raise ModelError(f"linking matrix: {exc}") from None
+        if (mat.rows, mat.cols) != (n, n):
             raise ModelError(f"linking matrix must be {n}x{n}")
+        matrix = mat.entries
         for i in range(n):
             for j in range(i + 1, n):
                 if matrix[i][j] != matrix[j][i]:
@@ -109,9 +124,12 @@ class FramedLinkModel:
     def has_dotted(self) -> bool:
         return any(c.kind == DOTTED for c in self.components)
 
-    def _check(self, i: int) -> None:
-        if not 0 <= i < len(self):
-            raise IllegalMove(f"component index {i} out of range")
+    def _check(self, *indices: int) -> None:
+        for i in indices:
+            if type(i) is not int:
+                raise IllegalMove(f"component index must be an integer, got {i!r}")
+            if not 0 <= i < len(self):
+                raise IllegalMove(f"component index {i} out of range")
 
     def _rebuild(self, comps, matrix) -> "FramedLinkModel":
         # re-sync framings from the diagonal before validating
@@ -123,23 +141,9 @@ class FramedLinkModel:
                 fixed.append(c)
         return FramedLinkModel(fixed, matrix)
 
-    # -- moves --------------------------------------------------------------
-
-    def slide(self, u: int, v: int, sign: int) -> "FramedLinkModel":
-        """Slide component u over v: framing becomes m + n + sign*2*link(u,v)
-        and u's linking row gains sign times v's row."""
-        self._check(u)
-        self._check(v)
-        if u == v:
-            raise IllegalMove("cannot slide a component over itself")
-        if sign not in (1, -1):
-            raise IllegalMove("sign must be +1 or -1")
-        if self.components[u].kind == DOTTED:
-            raise IllegalMove(f"component {u} is dotted: {DOTTED_SLIDE_RULE}")
-        if self.components[v].kind == DOTTED:
-            raise IllegalMove(
-                f"component {v} is dotted: sliding over a 1-handle is the "
-                "slide_over_dotted move")
+    def _add_row_and_column(self, u: int, v: int, sign: int) -> "FramedLinkModel":
+        """Add sign times v's row and column to u's: the linking update of
+        sliding u over v."""
         m = [list(row) for row in self.linking]
         n = len(self)
         for k in range(n):
@@ -148,14 +152,47 @@ class FramedLinkModel:
             m[k][u] += sign * m[k][v]
         return self._rebuild(list(self.components), m)
 
+    def _append(self, comps, block) -> "FramedLinkModel":
+        """Append components unlinked from the rest, with ``block`` as their
+        linking matrix among themselves."""
+        n, k = len(self), len(comps)
+        m = [list(row) + [0] * k for row in self.linking]
+        m.extend([0] * n + list(row) for row in block)
+        return FramedLinkModel(self.components + tuple(comps), m)
+
+    def _delete(self, drop, pivot: int = 0, eps: int = 0) -> "FramedLinkModel":
+        """Delete the components in ``drop``; each remaining link(j,k) first
+        loses eps*link(pivot,j)*link(pivot,k), the twist of blowing down
+        pivot (eps = 0 deletes without twisting)."""
+        keep = [k for k in range(len(self)) if k not in drop]
+        row = self.linking[pivot]
+        m = [[self.linking[j][k] - eps * row[j] * row[k] for k in keep]
+             for j in keep]
+        return self._rebuild([self.components[k] for k in keep], m)
+
+    # -- moves --------------------------------------------------------------
+
+    def slide(self, u: int, v: int, sign: int) -> "FramedLinkModel":
+        """Slide component u over v: framing becomes m + n + sign*2*link(u,v)
+        and u's linking row gains sign times v's row."""
+        self._check(u, v)
+        if u == v:
+            raise IllegalMove("cannot slide a component over itself")
+        _check_sign(sign)
+        if self.components[u].kind == DOTTED:
+            raise IllegalMove(f"component {u} is dotted: {DOTTED_SLIDE_RULE}")
+        if self.components[v].kind == DOTTED:
+            raise IllegalMove(
+                f"component {v} is dotted: sliding over a 1-handle is the "
+                "slide_over_dotted move")
+        return self._add_row_and_column(u, v, sign)
+
     def slide_over_dotted(self, h: int, d: int, sign: int) -> "FramedLinkModel":
         """Slide the 2-handle h over the dotted circle d; changes h's framing
         by sign*2*link(h,d), so framing 0 reaches any even framing when the
         linking number is +-1."""
-        self._check(h)
-        self._check(d)
-        if sign not in (1, -1):
-            raise IllegalMove("sign must be +1 or -1")
+        self._check(h, d)
+        _check_sign(sign)
         if self.components[h].kind != PLAIN:
             raise IllegalMove(f"component {h} must be plain: {DOTTED_SLIDE_RULE}")
         if self.components[d].kind != DOTTED:
@@ -163,23 +200,12 @@ class FramedLinkModel:
         if self.link(h, d) == 0:
             raise IllegalMove("slide_over_dotted needs a nonzero linking number "
                               "with the dotted circle")
-        m = [list(row) for row in self.linking]
-        n = len(self)
-        for k in range(n):
-            m[h][k] += sign * m[d][k]
-        for k in range(n):
-            m[k][h] += sign * m[k][d]
-        return self._rebuild(list(self.components), m)
+        return self._add_row_and_column(h, d, sign)
 
     def blow_up(self, sign: int) -> "FramedLinkModel":
         """Append a distant unknotted +-1-framed component."""
-        if sign not in (1, -1):
-            raise IllegalMove("sign must be +1 or -1")
-        comps = self.components + (Component(PLAIN, sign, True),)
-        n = len(self)
-        m = [list(row) + [0] for row in self.linking]
-        m.append([0] * n + [sign])
-        return FramedLinkModel(comps, m)
+        _check_sign(sign)
+        return self._append([Component(PLAIN, sign, True)], [[sign]])
 
     def blow_down(self, i: int) -> "FramedLinkModel":
         """Delete an unknotted +-1-framed component, twisting everything that
@@ -198,35 +224,22 @@ class FramedLinkModel:
                 raise IllegalMove(
                     f"component {i} links dotted circle {j}; blowing down would "
                     "twist a 1-handle")
-        keep = [k for k in range(len(self)) if k != i]
-        m = [[self.linking[j][k] - eps * self.linking[i][j] * self.linking[i][k]
-              for k in keep] for j in keep]
-        comps = [self.components[k] for k in keep]
-        return self._rebuild(comps, m)
+        return self._delete((i,), i, eps)
 
     def add_distant_unknot(self) -> "FramedLinkModel":
         """Append a 0-framed unknot unlinked from everything."""
-        n = len(self)
-        comps = self.components + (Component(PLAIN, 0, True),)
-        m = [list(row) + [0] for row in self.linking]
-        m.append([0] * (n + 1))
-        return FramedLinkModel(comps, m)
+        return self._append([Component(PLAIN, 0, True)], [[0]])
 
     def add_hopf_pair(self) -> "FramedLinkModel":
         """Append a canceling Hopf pair: dotted circle plus a 0-framed
         2-handle linking it once, both unlinked from the rest."""
-        n = len(self)
-        comps = self.components + (Component(DOTTED), Component(PLAIN, 0, True))
-        m = [list(row) + [0, 0] for row in self.linking]
-        m.append([0] * n + [0, 1])
-        m.append([0] * n + [1, 0])
-        return FramedLinkModel(comps, m)
+        return self._append([Component(DOTTED), Component(PLAIN, 0, True)],
+                            [[0, 1], [1, 0]])
 
     def remove_hopf_pair(self, d: int, h: int) -> "FramedLinkModel":
         """Delete a canceling Hopf pair.  Requires d dotted, h plain with
         framing 0, link(d,h) = +-1, and both unlinked from everything else."""
-        self._check(d)
-        self._check(h)
+        self._check(d, h)
         if d == h:
             raise IllegalMove("d and h must be distinct components")
         if self.components[d].kind != DOTTED:
@@ -246,9 +259,7 @@ class FramedLinkModel:
                 raise IllegalMove(f"dotted circle {d} links component {k}")
             if self.link(h, k) != 0:
                 raise IllegalMove(f"2-handle {h} links component {k}")
-        keep = [k for k in range(len(self)) if k not in (d, h)]
-        m = [[self.linking[j][k] for k in keep] for j in keep]
-        return FramedLinkModel([self.components[k] for k in keep], m)
+        return self._delete((d, h))
 
     # -- surgery invariants ---------------------------------------------------
 
@@ -306,6 +317,8 @@ MOVES = ("slide", "slide_over_dotted", "blow_up", "blow_down",
 
 
 def apply_move(model: FramedLinkModel, move: dict) -> FramedLinkModel:
+    if not isinstance(move, dict):
+        raise IllegalMove(f"a move is a JSON object, got {move!r}")
     kind = move.get("move")
     try:
         if kind == "slide":

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .certify import AbelianGroup, IntegerMatrix, abelianization, h1_from_matrix
+from .certify import AbelianGroup, IntegerMatrix, abelianization
 from .presentations import Presentation
 from .words import Word
 
@@ -30,7 +30,7 @@ class Crossing:
     def __post_init__(self):
         if len(self.arcs) != 4:
             raise PDCodeError(f"crossing needs 4 edge labels, got {self.arcs}")
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise PDCodeError(f"crossing sign must be +1 or -1, got {self.sign}")
 
     @property
@@ -134,12 +134,6 @@ class PDCode:
     def arc_generator(self, edge: int) -> str:
         return f"a{self.arc_classes()[edge]}"
 
-    def component_of(self, edge: int) -> int:
-        for k, comp in enumerate(self.components):
-            if edge in comp:
-                return k
-        raise PDCodeError(f"edge {edge} not in any component")
-
     # -- linking data ----------------------------------------------------------
 
     def writhe(self, component: int) -> int:
@@ -181,9 +175,12 @@ class PDCode:
     def from_json(cls, data: dict) -> "PDCode":
         try:
             xs = [(tuple(c["arcs"]), c["sign"]) for c in data["crossings"]]
-            comps = data["components"]
+            comps = [tuple(c) for c in data["components"]]
         except (KeyError, TypeError) as exc:
-            raise PDCodeError(f"PD JSON missing field: {exc}")
+            raise PDCodeError(f"malformed PD JSON: {exc}")
+        for labels in [arcs for arcs, _ in xs] + comps:
+            if any(type(e) is not int for e in labels):
+                raise PDCodeError(f"edge labels must be integers, got {list(labels)}")
         return cls(xs, comps)
 
     def dumps(self) -> str:
@@ -217,8 +214,7 @@ def longitude_word(pd: PDCode, component: int, framing: int) -> Word:
     """Read off the over-arcs passed under while traveling the component,
     then correct by meridian^(framing - writhe) so the exponent sum of the
     component's own meridians equals the framing exactly."""
-    if not 0 <= component < len(pd.components):
-        raise PDCodeError(f"no component {component}")
+    meridian = meridian_word(pd, component)     # checks the component index
     classes = pd.arc_classes()
     under_at = {x.under_in: x for x in pd.crossings}
     letters = []
@@ -227,7 +223,6 @@ def longitude_word(pd: PDCode, component: int, framing: int) -> Word:
         if x is not None:
             letters.append((f"a{classes[x.over_in]}", x.sign))
     correction = framing - pd.writhe(component)
-    meridian = meridian_word(pd, component)
     return Word(letters) * meridian ** correction
 
 
@@ -264,11 +259,6 @@ def surgery_presentation(pd: PDCode, framings: Sequence[int]) -> SurgeryPresenta
     meridians = tuple(meridian_word(pd, c) for c in range(n))
     full = Presentation(base.generators, base.relators + longitudes)
     return SurgeryPresentation(full, meridians, longitudes, tuple(framings))
-
-
-def surgery_h1(pd: PDCode, framings: Sequence[int]) -> AbelianGroup:
-    """Homology of the surgery straight from the linking matrix."""
-    return h1_from_matrix(pd.linking_matrix(framings))
 
 
 # -- standard small diagrams --------------------------------------------------

@@ -148,6 +148,25 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return Word(letters[i:j + 1]), Word(conj)
 
 
+def letter_codes(generators) -> dict[Letter, int]:
+    """The int coding of letters: generator k is 2k and its inverse 2k+1,
+    so xor 1 inverts a code."""
+    codes = {}
+    for k, g in enumerate(generators):
+        codes[(g, 1)] = 2 * k
+        codes[(g, -1)] = 2 * k + 1
+    return codes
+
+
+def encode_word(word: Word, codes: dict[Letter, int]) -> tuple[int, ...]:
+    return tuple(codes[letter] for letter in word.letters)
+
+
+def decode_word(code, generators) -> Word:
+    """Inverse of the coding given by ``letter_codes(generators)``."""
+    return Word([(generators[a >> 1], -1 if a & 1 else 1) for a in code])
+
+
 def is_cyclically_reduced(w: Word) -> bool:
     if len(w) < 2:
         return True

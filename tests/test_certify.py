@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kirbycalc.certify import (AbelianGroup, IntegerMatrix, MatrixError,
-                               certification_report, exponent_matrix,
+                               abelianization, certification_report, exponent_matrix,
                                h1_from_matrix, smith_normal_form,
                                todd_coxeter, verify_coset_table)
 from kirbycalc.presentations import (BalancedPresentation, Presentation,
@@ -93,6 +93,9 @@ class TestH1:
         with pytest.raises(MatrixError):
             h1_from_matrix(IntegerMatrix([[1, 2, 3]]))
 
+    def test_empty_matrix(self):
+        assert h1_from_matrix(IntegerMatrix([])) == AbelianGroup(0)
+
     def test_torsion(self):
         assert h1_from_matrix(IntegerMatrix([[2, 0], [0, 3]])) == \
             AbelianGroup(0, (6,))
@@ -161,6 +164,29 @@ class TestAcMoveInvariance:
                 q = ac_conjugate(p, i, conj)
             assert h1_from_matrix(exponent_matrix(q)) == base
             p = q
+
+
+class TestIntegerMatrix:
+    @pytest.mark.parametrize("entries", [
+        [[1, 0.5], [0.5, 1]], [[1.0]], [["1"]], [[True, 0], [0, 1]], 5,
+        [5], [[None]],
+    ], ids=["half", "float-one", "string", "bool", "int", "int-row", "none"])
+    def test_rejects_non_integer_entries(self, entries):
+        with pytest.raises(MatrixError):
+            IntegerMatrix(entries)
+
+    def test_ragged(self):
+        with pytest.raises(MatrixError, match="ragged"):
+            IntegerMatrix([[1, 2], [3]])
+
+
+class TestAbelianization:
+    def test_no_relators_is_free_abelian(self):
+        assert abelianization(Presentation(("x", "y"), ())) == AbelianGroup(2)
+
+    def test_rectangular(self):
+        p = Presentation(("x", "y", "z"), ("x x", "x y X Y"))
+        assert abelianization(p) == AbelianGroup(2, (2,))
 
 
 def test_certification_report_shape():

@@ -3,7 +3,9 @@ import json
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
+from kirbycalc import framedlinks
 from kirbycalc.cli import main
+from kirbycalc.wirtinger import hopf_link_pd, trefoil_pd, unknot_pd
 
 
 def run(capsys, *argv):
@@ -137,6 +139,28 @@ class TestKirby:
         assert code == 1
         assert "cannot slide over non-dotted components" in err
 
+    @pytest.mark.parametrize("data", [
+        {"components": [], "linking": 5},
+        {"components": ["x"], "linking": [[0]]},
+        {"components": [{"kind": "plain", "framing": 1}] * 2,
+         "linking": [[1, 0.5], [0.5, 1]]},
+    ], ids=["integer-linking", "string-component", "half-integer-linking"])
+    def test_malformed_model_rejected(self, capsys, tmp_path, data):
+        path = write(tmp_path, "model.json", data)
+        for command in ("check", "h1"):
+            code, out, err = run(capsys, "kirby", command, path)
+            assert code == 1 and err.startswith("error:") and not out
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("script", [
+        [5], [{"move": "slide", "u": "a", "v": 0}],
+    ], ids=["integer-record", "string-index"])
+    def test_malformed_script_rejected(self, capsys, zero2, tmp_path, script):
+        code, _, err = run(capsys, "kirby", "apply", zero2,
+                           write(tmp_path, "script.json", script))
+        assert code == 1 and err.startswith("error: script step 0:")
+        assert "Traceback" not in err
+
 
 class TestWirtinger:
     def test_presentation_output(self, capsys, tmp_path):
@@ -158,6 +182,12 @@ class TestWirtinger:
         data = json.loads(out)
         assert data["abelianization"] == {"rank": 1, "torsion": []}
 
+    def test_malformed_pd_rejected(self, capsys, tmp_path):
+        pd = write(tmp_path, "pd.json", {"crossings": [], "components": 5})
+        code, _, err = run(capsys, "wirtinger", pd)
+        assert code == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_surgery_requires_framings(self, capsys, tmp_path):
         pd = write(tmp_path, "unknot.json", {"crossings": [],
                                              "components": [[1]]})
@@ -174,6 +204,11 @@ class TestPipeline:
         assert report["coset"]["order"] == 1
         assert report["search"]["status"] == "trivialized"
         assert "family member n=0" in err
+        # the hypothesis check runs on a fixed model, labelled as assumed
+        assert report["gpr_hypothesis"] == {
+            "assumed_model": framedlinks.zero_model(2).to_json(),
+            "passes": True, "nonzero_entries": []}
+        assert "hypothesis on the assumed 2-component model" in err
 
     def test_n1_certifies_trivial_group(self, capsys):
         code, out, _ = run(capsys, "pipeline", "--n", "1")
@@ -237,29 +272,100 @@ _search_flags = st.lists(
     max_size=3)
 
 
+@st.composite
+def _model(draw):
+    """A consistent model of 0-3 plain or dotted components, linking
+    numbers in -2..2."""
+    comps = draw(st.lists(
+        st.fixed_dictionaries({"kind": st.just("plain"),
+                               "framing": st.integers(-2, 2),
+                               "unknotted": st.booleans()})
+        | st.just({"kind": "dotted"}), max_size=3))
+    n = len(comps)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = comps[i].get("framing", 0)
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.integers(-2, 2))
+    return {"components": comps, "linking": m}
+
+
+_number = _junk | st.floats(-2, 2)
+_models = _model() | st.fixed_dictionaries({
+    "components": st.lists(
+        st.fixed_dictionaries({"kind": st.sampled_from(["plain", "dotted"])
+                               | _junk, "framing": _number})
+        | _junk, max_size=2) | _junk,
+    "linking": st.lists(st.lists(_number, max_size=2) | _junk, max_size=2)
+    | _junk}) | _junk
+
+_index = st.integers(-1, 4) | _junk | st.floats(0, 2)
+_scripts = st.lists(
+    st.fixed_dictionaries(
+        {"move": st.sampled_from(framedlinks.MOVES + ("warp",)) | _junk},
+        optional={k: _index for k in ("u", "v", "h", "d", "i", "sign")})
+    | _junk, max_size=4) | _junk
+
+_pd_codes = st.sampled_from(
+    [unknot_pd().to_json(), hopf_link_pd().to_json(), trefoil_pd().to_json()]
+) | st.fixed_dictionaries({
+    "crossings": st.lists(
+        st.fixed_dictionaries({
+            "arcs": st.lists(st.integers(1, 6) | _junk, max_size=5) | _junk,
+            "sign": st.sampled_from([1, -1, 0]) | _junk}) | _junk,
+        max_size=3) | _junk,
+    "components": st.lists(st.lists(st.integers(1, 6) | _number, max_size=4)
+                           | _junk, max_size=3) | _junk}) | _junk
+
+_framings = (st.lists(st.integers(-3, 3), max_size=3).map(
+    lambda fs: ",".join(map(str, fs))) | st.text("0123456789,-x. ", max_size=6))
+
+# tmp_path and capsys are safe to share between examples: the files are
+# rewritten and the output drained each time.  On a failure, shrinking
+# every distinct error and the explain phase take minutes; one error,
+# shrunk without the explain phase, takes seconds.
+_fuzz = settings(max_examples=100, deadline=None, report_multiple_bugs=False,
+                 phases=[p for p in Phase if p is not Phase.explain],
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _keeps_contract(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+
+
 class TestFuzz:
-    """Random presentation JSON, half of it well formed so that the search
-    and the enumeration run, and random flags, zero and negative values
-    included: every run keeps the exit-code contract and prints no
-    traceback."""
+    """Random input JSON, part of it well formed so that the commands run,
+    and random flags, zero and negative values included: every run keeps
+    the exit-code contract and prints no traceback."""
 
     @given(st.booleans().flatmap(
                lambda ok: _well_formed() if ok else _malformed),
            _search_flags, st.integers(min_value=-2, max_value=200))
-    # tmp_path and capsys are safe to share between examples: the file is
-    # rewritten and the output drained each time.  On a failure, shrinking
-    # every distinct error and the explain phase take minutes; one error,
-    # shrunk without the explain phase, takes seconds.
-    @settings(max_examples=100, deadline=None, report_multiple_bugs=False,
-              phases=[p for p in Phase if p is not Phase.explain],
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @_fuzz
     def test_exit_codes(self, capsys, tmp_path, data, flags, max_cosets):
         path = write(tmp_path, "p.json", data)
         # the default budget is large; keep every search small
         search = ["ac-search", path, "--budget", "3"]
         for flag, value in flags:
             search += [flag, str(value)]
-        for argv in (search, ["certify", path, "--max-cosets", str(max_cosets)]):
-            code, _, err = run(capsys, *argv)
-            assert code in (0, 1, 2), (argv, code, err)
-            assert "Traceback" not in err
+        _keeps_contract(capsys, *search)
+        _keeps_contract(capsys, "certify", path, "--max-cosets", str(max_cosets))
+
+    @given(_models, _scripts)
+    @_fuzz
+    def test_kirby_exit_codes(self, capsys, tmp_path, model, script):
+        path = write(tmp_path, "model.json", model)
+        for command in ("check", "h1"):
+            _keeps_contract(capsys, "kirby", command, path)
+        _keeps_contract(capsys, "kirby", "apply", path,
+                        write(tmp_path, "script.json", script))
+
+    @given(_pd_codes, _framings)
+    @_fuzz
+    def test_wirtinger_exit_codes(self, capsys, tmp_path, pd, framings):
+        path = write(tmp_path, "pd.json", pd)
+        _keeps_contract(capsys, "wirtinger", path)
+        _keeps_contract(capsys, "wirtinger", path, "--surgery",
+                        f"--framings={framings}")

@@ -30,6 +30,36 @@ class TestModelInvariants:
         with pytest.raises(ModelError):
             FramedLinkModel([Component(DOTTED)], [[2]])
 
+    @pytest.mark.parametrize("linking", [
+        [[1, 0.5], [0.5, 1]], [[1.0, 0], [0, 1]], [[1, "0"], ["0", 1]],
+        [[1, False], [False, 1]], 5, [5, 5], [[1, 0], [0]],
+    ], ids=["half", "float", "string", "bool", "int", "int-rows", "ragged"])
+    def test_linking_entries_must_be_integers(self, linking):
+        with pytest.raises(ModelError):
+            model([1, 1], linking)
+
+    def test_framing_must_be_an_integer(self):
+        for framing in (0.5, 1.0, "1", True):
+            with pytest.raises(ModelError):
+                Component(PLAIN, framing)
+
+    def test_unknotted_must_be_a_boolean(self):
+        # "false" used to be read as true, letting a knot be blown down
+        for mark in ("false", 1, None):
+            with pytest.raises(ModelError):
+                Component.from_json({"kind": "plain", "framing": 1,
+                                     "unknotted": mark})
+
+    def test_from_json_rejects_malformed_records(self):
+        for data in ({"components": [], "linking": 5},
+                     {"components": ["x"], "linking": [[0]]},
+                     {"components": 5, "linking": []},
+                     {"components": [{"kind": "plain", "framing": 1}] * 2,
+                      "linking": [[1, 0.5], [0.5, 1]]},
+                     [], 5):
+            with pytest.raises(ModelError):
+                FramedLinkModel.from_json(data)
+
     def test_json_roundtrip(self):
         m = zero_model(2).add_hopf_pair().blow_up(-1)
         data = json.loads(json.dumps(m.to_json()))
@@ -210,3 +240,46 @@ class TestScripts:
     def test_unknown_move(self):
         with pytest.raises(IllegalMove):
             apply_script(zero_model(1), [{"move": "warp"}])
+
+    @pytest.mark.parametrize("move", [
+        5, "slide", [0, 1], None,
+        {"move": "slide", "u": "a", "v": 0},
+        {"move": "slide", "u": 0.0, "v": 1},
+        {"move": "blow_down", "i": True},
+        {"move": "remove_hopf_pair", "d": [0], "h": 1},
+        {"move": "blow_up", "sign": 1.0},
+        {"move": "blow_up", "sign": True},
+        {"move": "slide", "u": 0, "v": 1, "sign": "1"},
+    ])
+    def test_malformed_records_rejected(self, move):
+        with pytest.raises(IllegalMove) as err:
+            apply_script(zero_model(2), [move])
+        assert "step 0" in str(err.value)
+
+
+class TestLinkingPrimitives:
+    """Each move against the linking matrix written out by hand."""
+
+    def test_slides(self):
+        m = model([2, -1, 3], [[2, 1, 0], [1, -1, 2], [0, 2, 3]])
+        assert m.slide(0, 1, -1).linking == ((-1, 2, -2), (2, -1, 2),
+                                             (-2, 2, 3))
+        d = FramedLinkModel([Component(PLAIN, 0), Component(DOTTED)],
+                            [[0, 1], [1, 0]])
+        assert d.slide_over_dotted(0, 1, 1).linking == ((2, 1), (1, 0))
+
+    def test_appends(self):
+        m = model([2], [[2]])
+        assert m.blow_up(-1).linking == ((2, 0), (0, -1))
+        assert m.add_distant_unknot().linking == ((2, 0), (0, 0))
+        pair = m.add_hopf_pair()
+        assert pair.linking == ((2, 0, 0), (0, 0, 1), (0, 1, 0))
+        assert [c.kind for c in pair.components] == [PLAIN, DOTTED, PLAIN]
+
+    def test_deletes(self):
+        m = model([2, 1, 3], [[2, 1, 0], [1, 1, 2], [0, 2, 3]])
+        down = m.blow_down(1)
+        assert down.linking == ((1, -2), (-2, -1))
+        assert [c.framing for c in down.components] == [1, -1]
+        pair = m.add_hopf_pair()
+        assert pair.remove_hopf_pair(3, 4) == m

@@ -38,6 +38,26 @@ class TestPDValidation:
         with pytest.raises(PDCodeError):
             PDCode([((1, 4, 2, 3), 2)], [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("data", [
+        {"crossings": [], "components": 5},
+        {"crossings": [], "components": [5]},
+        {"crossings": [], "components": [["1"]]},
+        {"crossings": [], "components": [[1.5]]},
+        {"crossings": [{"arcs": [1, 4, 2, "3"], "sign": 1},
+                       {"arcs": [3, 2, 4, 1], "sign": 1}],
+         "components": [[1, 2], [3, 4]]},
+        {"crossings": [{"arcs": [1, 4, 2, 3], "sign": True},
+                       {"arcs": [3, 2, 4, 1], "sign": 1}],
+         "components": [[1, 2], [3, 4]]},
+        {"crossings": 5, "components": [[1]]},
+        {"crossings": [5], "components": [[1]]},
+        {"components": [[1]]},
+        [],
+    ])
+    def test_from_json_rejects_malformed_records(self, data):
+        with pytest.raises(PDCodeError):
+            PDCode.from_json(data)
+
     def test_json_roundtrip(self):
         pd = trefoil_pd()
         data = json.loads(json.dumps(pd.to_json()))

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kirbycalc.words import (IDENTITY, UnknownGeneratorError, Word,
-                             WordSyntaxError, cyclic_reduce,
-                             is_cyclically_reduced, reduce)
+                             WordSyntaxError, cyclic_reduce, decode_word,
+                             encode_word, is_cyclically_reduced, letter_codes,
+                             reduce)
 
 letters = st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from((1, -1))),
                    max_size=30)
@@ -74,3 +75,20 @@ def test_words_hashable_and_immutable():
     assert hash(w) == hash(Word.from_text("x y"))
     with pytest.raises(AttributeError):
         w.letters = ()
+
+
+def test_letter_codes():
+    codes = letter_codes(("x", "y"))
+    assert codes == {("x", 1): 0, ("x", -1): 1, ("y", 1): 2, ("y", -1): 3}
+    assert encode_word(Word.from_text("x Y y y"), codes) == (0, 2)
+    assert decode_word((3, 0, 0), ("x", "y")).to_text() == "Y x x"
+
+
+@given(letters)
+def test_letter_coding_round_trips(raw):
+    gens = ("x", "y", "z")
+    w = reduce(raw)
+    code = encode_word(w, letter_codes(gens))
+    assert decode_word(code, gens) == w
+    # xor 1 inverts a code
+    assert decode_word(tuple(a ^ 1 for a in reversed(code)), gens) == w.inverse()
