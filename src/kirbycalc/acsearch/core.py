@@ -1,13 +1,14 @@
 """Bounded breadth-first search for Andrews-Curtis trivializations.
 
-Nodes are balanced presentations deduplicated by a canonical form that folds
-in relator order, cyclic rotation, and generator relabeling.  Relator
-inversion is deliberately NOT folded into the dedup key: inversion is a move,
-and multiplication only ever uses r_j itself, so collapsing a node with its
-inverted variants would prune reachable successors.  The full-equivalence
-key (inversion included) is exposed separately as canonical_key.  Every
-reported trivialization is replayed through the public move operations
-before it is returned.
+Nodes are the encoded relator tuples of balanced presentations,
+deduplicated by a canonical form that folds in relator order, cyclic
+rotation, and generator relabeling.  Relator inversion is deliberately NOT
+folded into the dedup key: inversion is a move, and multiplication only ever
+uses r_j itself, so collapsing a node with its inverted variants would prune
+reachable successors.  The full-equivalence key (inversion included) is
+exposed separately as canonical_key.  Generator names are written only along
+a reported trivialization, which is replayed through the public move
+operations before it is returned.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .. import presentations as pres
-from ..presentations import BalancedPresentation, fresh_generator
+from ..presentations import BalancedPresentation
 from ..words import Word, decode_word, encode_word, letter_codes
 from . import kernel
 
@@ -95,21 +96,19 @@ class SearchOutcome:
 
 def encode_presentation(p: BalancedPresentation):
     codes = letter_codes(p.generators)
-    return tuple(encode_word(r, codes) for r in p.relators), p.generators
+    return tuple(encode_word(r, codes) for r in p.relators)
 
 
 def canonical_key(p: BalancedPresentation) -> bytes:
     """Stable key, equal exactly for presentations that agree up to relator
     order, relator inversion, cyclic rotation, and generator relabeling."""
-    rels, gens = encode_presentation(p)
-    return kernel.canonical_key(rels, len(gens))
+    return kernel.canonical_key(encode_presentation(p), len(p.generators))
 
 
 def is_trivial_form(p: BalancedPresentation) -> bool:
     """True when the relators are, up to order and inversion, exactly the
     generators, each occurring once."""
-    rels, gens = encode_presentation(p)
-    return kernel.is_trivial_encoded(rels, len(gens))
+    return kernel.is_trivial_encoded(encode_presentation(p), len(p.generators))
 
 
 @lru_cache(maxsize=None)
@@ -158,67 +157,68 @@ def replay_trace(p: BalancedPresentation, trace) -> BalancedPresentation:
     return current
 
 
+def _name_moves(p: BalancedPresentation, moves) -> list[dict]:
+    """Write the code-tuple conjugators of a move sequence from ``p`` as word
+    text, each in the generator names in force at its step."""
+    trace = []
+    for move in moves:
+        if "conj" in move:
+            conj = decode_word(move["conj"], p.generators)
+            move = {**move, "conj": conj.to_text()}
+        trace.append(move)
+        p = apply_move(p, move)
+    return trace
+
+
 # -- expansion --------------------------------------------------------------
 
-def _decode_conj(conj, gens) -> str:
-    return decode_word(conj, gens).to_text()
-
-
-def _expand(rels, gens, cfg: SearchConfig, base_gens: int):
-    """All legal single-move successors, in the fixed enumeration order:
-    inversions, single-letter conjugations, multiplications (conjugators in
-    length-lex order), stabilization, destabilization."""
-    n = len(gens)
+def _expand(rels, cfg: SearchConfig, base_gens: int):
+    """All legal single-move successors as (move, child) pairs, in the fixed
+    enumeration order: inversions, single-letter conjugations,
+    multiplications (conjugators in length-lex order), stabilization,
+    destabilization.  A node is balanced, so it has len(rels) generators;
+    conjugators stay code tuples."""
+    n = len(rels)
     total = sum(len(r) for r in rels)
     cap = cfg.max_total_length
-    out = []
 
-    for i in range(len(rels)):
-        new = kernel.invert_word(rels[i])
-        out.append(({"move": "invert", "i": i},
-                    rels[:i] + (new,) + rels[i + 1:], gens))
+    for i in range(n):
+        yield {"move": "invert", "i": i}, \
+            rels[:i] + (kernel.invert_word(rels[i]),) + rels[i + 1:]
 
-    for i in range(len(rels)):
+    for i in range(n):
         rest = total - len(rels[i])
         for a in range(2 * n):
             new = kernel.conjugate_relator(rels[i], (a,))
             if rest + len(new) <= cap:
-                out.append(({"move": "conjugate", "i": i,
-                             "conj": _decode_conj((a,), gens)},
-                            rels[:i] + (new,) + rels[i + 1:], gens))
+                yield {"move": "conjugate", "i": i, "conj": (a,)}, \
+                    rels[:i] + (new,) + rels[i + 1:]
 
     conjugators = _conjugators(n, cfg.conjugator_depth)
-    for i in range(len(rels)):
+    for i in range(n):
         rest = total - len(rels[i])
-        for j in range(len(rels)):
+        for j in range(n):
             if i == j:
                 continue
             for conj in conjugators:
                 new = kernel.multiply_relator(rels[i], rels[j], conj)
                 if rest + len(new) <= cap:
-                    out.append(({"move": "multiply", "i": i, "j": j,
-                                 "conj": _decode_conj(conj, gens)},
-                                rels[:i] + (new,) + rels[i + 1:], gens))
+                    yield {"move": "multiply", "i": i, "j": j, "conj": conj}, \
+                        rels[:i] + (new,) + rels[i + 1:]
 
     if n - base_gens < cfg.stabilizations and total + 1 <= cap:
-        g = fresh_generator(gens)
-        out.append(({"move": "stabilize"},
-                    rels + ((n << 1,),), gens + (g,)))
+        yield {"move": "stabilize"}, rels + ((n << 1,),)
 
-    for i in range(len(rels)):
+    for i in range(n):
         if len(rels[i]) != 1:
             continue
         sym = rels[i][0] >> 1
         if any(k != i and any(a >> 1 == sym for a in r)
                for k, r in enumerate(rels)):
             continue
-        new_rels = tuple(
+        yield {"move": "destabilize", "i": i}, tuple(
             tuple(a - 2 if a >> 1 > sym else a for a in r)
             for k, r in enumerate(rels) if k != i)
-        new_gens = tuple(g for k, g in enumerate(gens) if k != sym)
-        out.append(({"move": "destabilize", "i": i}, new_rels, new_gens))
-
-    return out
 
 
 # -- the search -------------------------------------------------------------
@@ -226,10 +226,11 @@ def _expand(rels, gens, cfg: SearchConfig, base_gens: int):
 def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
     """Breadth-first bounded search for a trivializing move sequence.
 
-    The search runs in one thread.  The status (trivialized / exhausted /
-    budget), the stats and the trace are deterministic for a fixed config
-    and do not depend on ``cfg.workers``; a trace is validated by replay
-    before it is reported.
+    The search runs in one thread on encoded relators; generator names are
+    written only along the returned trace.  The status (trivialized /
+    exhausted / budget), the stats and the trace are deterministic for a
+    fixed config and do not depend on ``cfg.workers``; a trace is validated
+    by replay before it is reported.
     """
     if not isinstance(p, BalancedPresentation):
         raise BoundsError("search requires a balanced presentation")
@@ -238,44 +239,37 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
             f"input total relator length {p.total_relator_length()} exceeds "
             f"max_total_length {cfg.max_total_length}")
 
-    rels, gens = encode_presentation(p)
-    base_gens = len(gens)
-    root_key = kernel.search_key(rels, len(gens))
+    rels = encode_presentation(p)
+    base_gens = len(rels)
+    root_key = kernel.search_key(rels, base_gens)
     stats = SearchStats(nodes_expanded=0, distinct_keys=1, max_frontier=1)
 
-    if kernel.is_trivial_encoded(rels, len(gens)):
+    if kernel.is_trivial_encoded(rels, base_gens):
         return SearchOutcome(TRIVIALIZED, stats, trace=[])
 
     parents: dict[bytes, tuple[Optional[bytes], Optional[dict]]] = {root_key: (None, None)}
-    frontier = [(root_key, rels, gens)]
-    budget_hit = False
+    frontier = [(root_key, rels)]
     goal: Optional[tuple[bytes, dict]] = None
 
     for _depth in range(cfg.max_depth):
-        if not frontier or goal is not None:
+        take = min(len(frontier), cfg.node_budget - stats.nodes_expanded)
+        if not take:
             break
-        take = len(frontier)
-        if stats.nodes_expanded + take > cfg.node_budget:
-            take = cfg.node_budget - stats.nodes_expanded
-            budget_hit = True
         stats.nodes_expanded += take
 
         next_frontier = []
-        for node_key, nrels, ngens in frontier[:take]:
-            for move, crels, cgens in _expand(nrels, ngens, cfg, base_gens):
-                if goal is None and kernel.is_trivial_encoded(crels, len(cgens)):
+        for node_key, nrels in frontier[:take]:
+            for move, crels in _expand(nrels, cfg, base_gens):
+                if goal is None and kernel.is_trivial_encoded(crels, len(crels)):
                     goal = (node_key, move)
-                key = kernel.search_key(crels, len(cgens))
+                key = kernel.search_key(crels, len(crels))
                 if key not in parents:
                     parents[key] = (node_key, move)
-                    next_frontier.append((key, crels, cgens))
-        if goal is not None or budget_hit:
+                    next_frontier.append((key, crels))
+        if goal is not None or take < len(frontier):
             break
         frontier = next_frontier
         stats.max_frontier = max(stats.max_frontier, len(frontier))
-        if stats.nodes_expanded >= cfg.node_budget and frontier:
-            budget_hit = True
-            break
 
     stats.distinct_keys = len(parents)
 
@@ -288,13 +282,13 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
                 break
             moves.append(move)
             node_key = parent_key
-        trace = list(reversed(moves))
+        trace = _name_moves(p, reversed(moves))
         final = replay_trace(p, trace)
         if not is_trivial_form(final):
             raise AssertionError("search produced a trace that does not replay "
                                  "to a trivial form")
         return SearchOutcome(TRIVIALIZED, stats, trace=trace)
 
-    if budget_hit:
-        return SearchOutcome(BUDGET, stats)
-    return SearchOutcome(EXHAUSTED, stats)
+    # a level was cut short, or the budget is spent with a frontier left
+    spent = frontier and stats.nodes_expanded == cfg.node_budget
+    return SearchOutcome(BUDGET if spent else EXHAUSTED, stats)

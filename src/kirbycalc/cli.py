@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import acsearch, framedlinks, pipeline, slopes, wirtinger
 from .certify import abelianization, certification_report
@@ -36,22 +37,25 @@ def _emit(data) -> None:
 
 
 def _search_flags(sub) -> None:
-    sub.add_argument("--max-total-length", type=int, default=None,
+    """Search flags, kept under SearchConfig field names and only when given:
+    pipeline.default_search_config owns the defaults."""
+    given_int = dict(type=int, default=argparse.SUPPRESS)
+    sub.add_argument("--max-total-length", **given_int,
                      help="cap on the sum of relator lengths")
-    sub.add_argument("--max-depth", type=int, default=5)
-    sub.add_argument("--conj-depth", type=int, default=1,
+    sub.add_argument("--max-depth", **given_int)
+    sub.add_argument("--conj-depth", dest="conjugator_depth", **given_int,
                      help="conjugators enumerated up to this length")
-    sub.add_argument("--budget", type=int, default=5_000,
+    sub.add_argument("--budget", dest="node_budget", **given_int,
                      help="node expansion budget")
-    sub.add_argument("--stabilizations", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--stabilizations", **given_int)
+    sub.add_argument("--threads", dest="workers", **given_int)
 
 
-def _config_from(args, p) -> acsearch.SearchConfig:
-    return pipeline.default_search_config(
-        p, max_total_length=args.max_total_length, max_depth=args.max_depth,
-        conjugator_depth=args.conj_depth, node_budget=args.budget,
-        stabilizations=args.stabilizations, workers=args.threads)
+def _search_overrides(args) -> dict:
+    """The search flags the user gave, as SearchConfig keyword arguments."""
+    given = vars(args)
+    return {f.name: given[f.name] for f in fields(acsearch.SearchConfig)
+            if f.name in given}
 
 
 def build_parser() -> _Parser:
@@ -104,12 +108,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_pipeline(args) -> int:
-    from .presentations import ak_presentation
-    p = ak_presentation(args.n, args.w)
-    cfg = _config_from(args, p)
-    report = pipeline.run_pipeline(args.n, args.w, cfg,
-                                   coset_budget=args.max_cosets,
-                                   max_q=args.max_q)
+    report = pipeline.run_pipeline(args.n, args.w, coset_budget=args.max_cosets,
+                                   max_q=args.max_q, **_search_overrides(args))
     _emit(report)
     sys.stderr.write(pipeline.summarize(report) + "\n")
     return 0
@@ -121,7 +121,7 @@ def _load_balanced(path: str) -> BalancedPresentation:
 
 def _cmd_ac_search(args) -> int:
     p = _load_balanced(args.presentation)
-    cfg = _config_from(args, p)
+    cfg = pipeline.default_search_config(p, **_search_overrides(args))
     outcome = acsearch.search(p, cfg)
     _emit({"config": cfg.to_json(), **outcome.to_json()})
     return 0

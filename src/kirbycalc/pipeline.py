@@ -42,14 +42,14 @@ def default_search_config(p, max_total_length=None, max_depth=5,
                         stabilizations=stabilizations, workers=workers)
 
 
-def run_pipeline(n: int, w: str = "y x", search_cfg: SearchConfig | None = None,
+def run_pipeline(n: int, w: str = "y x",
                  coset_budget: int = DEFAULT_COSET_BUDGET,
-                 max_q: int = DEFAULT_MAX_Q) -> dict:
-    """Produce the full JSON-ready report for family member n."""
+                 max_q: int = DEFAULT_MAX_Q, **search) -> dict:
+    """Produce the full JSON-ready report for family member n.  ``search``
+    holds default_search_config keywords; the rest keep its defaults."""
     start = time.perf_counter()
     p = ak_presentation(n, w)
-    if search_cfg is None:
-        search_cfg = default_search_config(p)
+    search_cfg = default_search_config(p, **search)
 
     assumed_model = zero_model(2)
     gpr = assumed_model.gpr_hypothesis_check()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .words import IDENTITY, UnknownGeneratorError, Word, cyclic_reduce
+from .words import IDENTITY, Word, check_symbols, cyclic_reduce
 
 
 class MoveError(ValueError):
@@ -60,11 +60,7 @@ class Presentation:
         if len(set(gens)) != len(gens):
             raise PresentationError(f"duplicate generators in {gens}")
         rels = tuple(_as_word(r) for r in relators)
-        allowed = set(gens)
-        for r in rels:
-            for sym in r.symbols:
-                if sym not in allowed:
-                    raise UnknownGeneratorError(sym)
+        check_symbols(rels, gens)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
 
@@ -208,9 +204,7 @@ def ak_presentation(n: int, w="y x") -> BalancedPresentation:
     w = _as_word(w)
     if not w:
         raise ValueError("conjugating word w must be nonempty")
-    extra = w.symbols - {"x", "y"}
-    if extra:
-        raise UnknownGeneratorError(sorted(extra)[0])
+    check_symbols((w,), ("x", "y"))
     x = Word([("x", 1)])
     y = Word([("y", 1)])
     r1 = y.inverse() * w.inverse() * x * w

@@ -128,11 +128,18 @@ def reduce(letters, generators=None) -> Word:
     else:
         word = Word(letters)
     if generators is not None:
-        allowed = set(generators)
-        for sym in word.symbols:
+        check_symbols((word,), generators)
+    return word
+
+
+def check_symbols(words: Iterable[Word], generators) -> None:
+    """Reject the first symbol, in letter order, that is not one of
+    ``generators``, so the error names the same symbol on every run."""
+    allowed = set(generators)
+    for word in words:
+        for sym, _ in word.letters:
             if sym not in allowed:
                 raise UnknownGeneratorError(sym)
-    return word
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:

@@ -7,6 +7,7 @@ from kirbycalc.acsearch import (BoundsError, SearchConfig, TraceError,
                                 canonical_key, is_trivial_form, replay_trace,
                                 search)
 from kirbycalc.acsearch import kernel
+from kirbycalc.acsearch.core import _name_moves
 from kirbycalc.presentations import BalancedPresentation, ak_presentation
 
 from oracles import brute_force_trivializable, ref_canonical_key, ref_search_key
@@ -271,6 +272,58 @@ class TestSearch:
             SearchConfig(max_total_length=1, max_depth=1, node_budget=0)
         with pytest.raises(ValueError):
             SearchConfig(max_total_length=1, max_depth=1, workers=0)
+
+
+class TestPinnedSearch:
+    """Statuses, stats and traces pinned from the search as it stood before
+    nodes lost their generator names; any change to them is a change of the
+    search itself."""
+
+    @pytest.mark.parametrize("depth, budget, status, stats", [
+        (4, 100_000, "exhausted", (30, 60, 30)),
+        (4, 31, "exhausted", (30, 60, 30)),
+        (4, 30, "budget", (30, 60, 30)),
+        (4, 29, "budget", (29, 56, 16)),
+        (1, 1, "budget", (1, 5, 4)),
+        (1, 2, "exhausted", (1, 5, 4)),
+    ])
+    def test_budget_edges(self, depth, budget, status, stats):
+        p = B(("x", "y"), ("x y", "x y y y x"))
+        out = search(p, SearchConfig(max_total_length=9, max_depth=depth,
+                                     conjugator_depth=1, node_budget=budget))
+        assert out.status == status
+        assert (out.stats.nodes_expanded, out.stats.distinct_keys,
+                out.stats.max_frontier) == stats
+
+    def test_trace_with_two_letter_conjugators(self):
+        out = search(ak_presentation(1), SearchConfig(
+            max_total_length=11, max_depth=30, conjugator_depth=2,
+            node_budget=30_000))
+        assert out.status == "trivialized"
+        assert (out.stats.nodes_expanded, out.stats.distinct_keys,
+                out.stats.max_frontier) == (362, 570, 159)
+        assert out.trace == [
+            {"move": "invert", "i": 0},
+            {"move": "multiply", "i": 0, "j": 1, "conj": "Y"},
+            {"move": "invert", "i": 0},
+            {"move": "multiply", "i": 1, "j": 0, "conj": "y x"},
+            {"move": "multiply", "i": 0, "j": 1, "conj": "X"},
+            {"move": "invert", "i": 0},
+            {"move": "multiply", "i": 1, "j": 0, "conj": "x x"},
+            {"move": "conjugate", "i": 0, "conj": "x"},
+        ]
+
+    def test_conjugators_named_at_their_step(self):
+        # code 4 is the stabilizing generator g; after x is destabilized,
+        # g is generator 1 and its code is 2
+        moves = [{"move": "stabilize"},
+                 {"move": "conjugate", "i": 2, "conj": (4,)},
+                 {"move": "destabilize", "i": 0},
+                 {"move": "multiply", "i": 1, "j": 0, "conj": (2,)}]
+        p = B(("x", "y"), ("x", "y"))
+        trace = _name_moves(p, moves)
+        assert [m.get("conj") for m in trace] == [None, "g", None, "g"]
+        assert replay_trace(p, trace) == B(("y", "g"), ("y", "g g y G"))
 
 
 class TestReplay:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from kirbycalc import framedlinks
 from kirbycalc.cli import main
+from kirbycalc.pipeline import run_pipeline
 from kirbycalc.wirtinger import hopf_link_pd, trefoil_pd, unknot_pd
 
 
@@ -68,6 +73,20 @@ class TestCertify:
         assert code == 0
         assert json.loads(out) == {"rank": 0, "torsion": []}
 
+    def test_unknown_symbol_error_is_hash_seed_free(self, tmp_path):
+        path = write(tmp_path, "p.json",
+                     {"generators": ["x"], "relators": ["p q r"]})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run(
+                [sys.executable, "-m", "kirbycalc.cli", "certify", path],
+                capture_output=True, text=True, env=env, check=False)
+            assert proc.returncode == 1
+            assert proc.stderr == "error: unknown generator symbol 'p'\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "/nonexistent.json")
         assert code == 1 and "cannot read" in err
@@ -83,6 +102,21 @@ class TestAcSearch:
         outcome = json.loads(out)
         assert outcome["status"] == "trivialized"
         assert len(outcome["trace"]) <= 2
+
+    def test_reported_config(self, capsys, tmp_path):
+        path = write(tmp_path, "p.json",
+                     {"generators": ["x", "y"], "relators": ["x y", "y"]})
+        _, out, _ = run(capsys, "ac-search", path)
+        assert json.loads(out)["config"] == {
+            "max_total_length": 11, "max_depth": 5, "conjugator_depth": 1,
+            "node_budget": 5000, "stabilizations": 0, "workers": 1}
+        _, out, _ = run(capsys, "ac-search", path, "--max-total-length", "7",
+                        "--max-depth", "3", "--conj-depth", "2",
+                        "--budget", "40", "--stabilizations", "1",
+                        "--threads", "2")
+        assert json.loads(out)["config"] == {
+            "max_total_length": 7, "max_depth": 3, "conjugator_depth": 2,
+            "node_budget": 40, "stabilizations": 1, "workers": 2}
 
     def test_exhausted_is_still_exit_zero(self, capsys, tmp_path):
         path = write(tmp_path, "p.json",
@@ -227,6 +261,22 @@ class TestPipeline:
         _, out1, _ = run(capsys, "pipeline", "--n", "1")
         _, out2, _ = run(capsys, "pipeline", "--n", "1")
         assert clean(out1) == clean(out2)
+
+    def test_defaults_match_run_pipeline(self, capsys):
+        _, out, _ = run(capsys, "pipeline", "--n", "1")
+        report = json.loads(out)
+        expected = json.loads(json.dumps(run_pipeline(1)))
+        report.pop("meta")
+        expected.pop("meta")
+        assert report == expected
+
+    def test_search_flags_reach_the_search(self, capsys):
+        _, out, _ = run(capsys, "pipeline", "--n", "1", "--max-depth", "2",
+                        "--budget", "7")
+        config = json.loads(out)["search"]["config"]
+        assert config == {"max_total_length": 17, "max_depth": 2,
+                          "conjugator_depth": 1, "node_budget": 7,
+                          "stabilizations": 0, "workers": 1}
 
     def test_json_round_trips(self, capsys):
         _, out, _ = run(capsys, "pipeline", "--n", "0")

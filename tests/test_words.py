@@ -21,6 +21,10 @@ def test_reduce_rejects_unknown_symbols():
         reduce("x z", generators=("x", "y"))
     assert err.value.symbol == "z"
     assert reduce("x y", generators=("x", "y")).to_text() == "x y"
+    # several unknown symbols: the first in letter order is named
+    with pytest.raises(UnknownGeneratorError) as err:
+        reduce("p q r", generators=("x",))
+    assert err.value.symbol == "p"
 
 
 @given(letters)
