@@ -251,8 +251,11 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
     frontier = [(root_key, rels)]
     goal: Optional[tuple[bytes, dict]] = None
 
+    cut_short = False
     for _depth in range(cfg.max_depth):
         take = min(len(frontier), cfg.node_budget - stats.nodes_expanded)
+        # a level that cannot be expanded in full leaves the bounds unsearched
+        cut_short = take < len(frontier)
         if not take:
             break
         stats.nodes_expanded += take
@@ -266,7 +269,7 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
                 if key not in parents:
                     parents[key] = (node_key, move)
                     next_frontier.append((key, crels))
-        if goal is not None or take < len(frontier):
+        if goal is not None or cut_short:
             break
         frontier = next_frontier
         stats.max_frontier = max(stats.max_frontier, len(frontier))
@@ -289,6 +292,6 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
                                  "to a trivial form")
         return SearchOutcome(TRIVIALIZED, stats, trace=trace)
 
-    # a level was cut short, or the budget is spent with a frontier left
-    spent = frontier and stats.nodes_expanded == cfg.node_budget
-    return SearchOutcome(BUDGET if spent else EXHAUSTED, stats)
+    # budget only when a level was cut short or never started for want of
+    # budget; a last allowed level expanded in full is exhausted
+    return SearchOutcome(BUDGET if cut_short else EXHAUSTED, stats)

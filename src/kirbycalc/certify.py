@@ -283,132 +283,145 @@ class CosetTable:
 def todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
     """Enumerate cosets of the trivial subgroup of the presented group.
 
-    Relator-driven strategy: process live cosets in definition order, scan
-    every relator through each, filling gaps by defining new cosets, then
+    Relator-driven (HLT) strategy: process live cosets in definition order,
+    scan every relator through each, filling gaps by defining new cosets, then
     complete the row.  Deterministic for a fixed presentation and budget.
     Budget exhaustion is reported as status "budget", never an error.
+
+    The table is one flat list: entry ``c * width + x`` is the coset reached
+    from ``c`` by letter ``x``, or -1.  Coincidences are processed as in COINC
+    (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 5.1), after
+    which rows of live cosets name only live cosets; so a scan reads entries
+    directly, and the union-find is consulted only while coincidences are
+    processed and when the table is compacted.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     gens = p.generators
     codes = letter_codes(gens)
     width = 2 * len(gens)
-    relator_paths = [encode_word(r, codes) for r in p.relators]
+    # each nonempty relator with the inverse letters its backward scan reads
+    scans = []
+    for r in p.relators:
+        path = encode_word(r, codes)
+        if path:
+            scans.append((path, tuple(x ^ 1 for x in path), len(path) - 1))
 
-    table: list[list[Optional[int]]] = [[None] * width]
-    rep: list[int] = [0]            # union-find for coincidences
-    defined = 1
+    blank = [-1] * width
+    table = list(blank)
+    rep = [0]                       # union-find over coset numbers
+
+    def define(alpha: int, x: int) -> int:
+        """New coset alpha.x, or -1 when the budget is spent."""
+        beta = len(rep)
+        if beta >= max_cosets:
+            return -1
+        table.extend(blank)
+        rep.append(beta)
+        table[alpha * width + x] = beta
+        table[beta * width + (x ^ 1)] = alpha
+        return beta
 
     def find(c: int) -> int:
         while rep[c] != c:
-            rep[c] = rep[rep[c]]
-            c = rep[c]
+            rep[c] = c = rep[rep[c]]
         return c
 
-    def define(alpha: int, x: int) -> Optional[int]:
-        nonlocal defined
-        if defined >= max_cosets:
-            return None
-        beta = len(table)
-        table.append([None] * width)
-        rep.append(beta)
-        defined += 1
-        table[alpha][x] = beta
-        table[beta][x ^ 1] = alpha
-        return beta
-
     def coincidence(alpha: int, beta: int) -> None:
-        queue: list[int] = []
-
-        def merge(u: int, v: int) -> None:
-            u, v = find(u), find(v)
-            if u != v:
-                lo, hi = min(u, v), max(u, v)
-                rep[hi] = lo
-                queue.append(hi)
-
-        merge(alpha, beta)
-        qi = 0
-        while qi < len(queue):
-            gamma = queue[qi]       # a dead coset whose row must be rewired
-            qi += 1
+        """Merge two live cosets and every coincidence that follows."""
+        if alpha > beta:
+            alpha, beta = beta, alpha
+        rep[beta] = alpha
+        queue = [beta]
+        for gamma in queue:             # a dead coset whose row is rewired
+            row = gamma * width
             for x in range(width):
-                delta = table[gamma][x]
-                if delta is None:
+                delta = table[row + x]
+                if delta < 0:
                     continue
-                table[delta][x ^ 1] = None
-                mu, nu = find(gamma), find(delta)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x])
-                elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1])
+                xi = x ^ 1
+                table[delta * width + xi] = -1
+                mu = gamma
+                while rep[mu] != mu:
+                    rep[mu] = mu = rep[rep[mu]]
+                nu = delta
+                while rep[nu] != nu:
+                    rep[nu] = nu = rep[rep[nu]]
+                u = table[mu * width + x]
+                if u >= 0:
+                    v = nu
                 else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
-
-    def scan_and_fill(alpha: int, path: tuple[int, ...]) -> bool:
-        """Trace a relator at alpha, defining cosets as needed.
-
-        Returns False when the coset budget is exhausted.
-        """
-        if not path:
-            return True
-        f, i = alpha, 0
-        b, j = alpha, len(path) - 1
-        while True:
-            while i <= j and table[f][path[i]] is not None:
-                f = find(table[f][path[i]])
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return True
-            while j >= i and table[b][path[j] ^ 1] is not None:
-                b = find(table[b][path[j] ^ 1])
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return True
-            if i == j:
-                # deduction closes the gap
-                table[f][path[i]] = b
-                table[b][path[i] ^ 1] = f
-                return True
-            new = define(f, path[i])
-            if new is None:
-                return False
+                    v = table[nu * width + xi]
+                    if v < 0:
+                        table[mu * width + x] = nu
+                        table[nu * width + xi] = mu
+                        continue
+                    u = mu
+                # merge u and v; the smaller root survives
+                while rep[u] != u:
+                    rep[u] = u = rep[rep[u]]
+                while rep[v] != v:
+                    rep[v] = v = rep[rep[v]]
+                if u != v:
+                    if u > v:
+                        u, v = v, u
+                    rep[v] = u
+                    queue.append(v)
 
     exhausted = False
     alpha = 0
-    while alpha < len(table):
-        if find(alpha) != alpha:
+    while alpha < len(rep) and not exhausted:
+        if rep[alpha] != alpha:
             alpha += 1
             continue
-        for path in relator_paths:
-            if not scan_and_fill(alpha, path):
-                exhausted = True
-                break
-            if find(alpha) != alpha:
-                break
-        if exhausted:
-            break
-        if find(alpha) == alpha:
-            for x in range(width):
-                if table[alpha][x] is None:
-                    if define(alpha, x) is None:
-                        exhausted = True
+        for path, inv, last in scans:
+            # trace the relator forward from alpha and backward to it
+            f, i = alpha, 0
+            b, j = alpha, last
+            while True:
+                while i <= j:
+                    nxt = table[f * width + path[i]]
+                    if nxt < 0:
                         break
-        if exhausted:
-            break
+                    f = nxt
+                    i += 1
+                while j >= i:
+                    nxt = table[b * width + inv[j]]
+                    if nxt < 0:
+                        break
+                    b = nxt
+                    j -= 1
+                if j < i:
+                    # the relator closed up: f and b are one coset
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                if i == j:
+                    # deduction closes the gap
+                    table[f * width + path[i]] = b
+                    table[b * width + inv[i]] = f
+                    break
+                if define(f, path[i]) < 0:
+                    exhausted = True
+                    break
+            if exhausted or rep[alpha] != alpha:
+                break
+        else:
+            row = alpha * width
+            for x in range(width):
+                if table[row + x] < 0 and define(alpha, x) < 0:
+                    exhausted = True
+                    break
         alpha += 1
 
-    live_ids = [c for c in range(len(table)) if find(c) == c]
+    live_ids = [c for c in range(len(rep)) if rep[c] == c]
+    defined = len(rep)
     if exhausted:
         return CosetTable("budget", gens, (), None, len(live_ids), defined)
 
     renumber = {c: k for k, c in enumerate(live_ids)}
     compact = tuple(
-        tuple(renumber[find(table[c][x])] for x in range(width))
+        tuple(renumber[find(table[c * width + x])] for x in range(width))
         for c in live_ids)
     order = len(live_ids)
     return CosetTable("closed", gens, compact, order, order, defined)

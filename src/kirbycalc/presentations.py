@@ -59,6 +59,11 @@ class Presentation:
             _check_generator(g)
         if len(set(gens)) != len(gens):
             raise PresentationError(f"duplicate generators in {gens}")
+        self._set(gens, relators)
+
+    def _set(self, gens: tuple, relators: Iterable) -> None:
+        """Store checked generator names and relators whose symbols must be
+        among them."""
         rels = tuple(_as_word(r) for r in relators)
         check_symbols(rels, gens)
         object.__setattr__(self, "generators", gens)
@@ -68,8 +73,13 @@ class Presentation:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def replace(self, generators=None, relators=None):
-        return type(self)(self.generators if generators is None else generators,
-                          self.relators if relators is None else relators)
+        if generators is not None:
+            return type(self)(generators,
+                              self.relators if relators is None else relators)
+        # the generator names passed their checks when self was built
+        new = object.__new__(type(self))
+        new._set(self.generators, self.relators if relators is None else relators)
+        return new
 
     def total_relator_length(self) -> int:
         return sum(len(r) for r in self.relators)
@@ -112,8 +122,8 @@ class BalancedPresentation(Presentation):
 
     __slots__ = ()
 
-    def __init__(self, generators, relators=()):
-        super().__init__(generators, relators)
+    def _set(self, gens: tuple, relators: Iterable) -> None:
+        super()._set(gens, relators)
         if len(self.relators) != len(self.generators):
             raise PresentationError(
                 f"unbalanced: {len(self.generators)} generators, "

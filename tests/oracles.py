@@ -6,12 +6,19 @@ curve tracing on the flat pillowcase, intersection numbers by literally
 counting crossings in a fundamental domain, and the trivialization search
 against a dumb exhaustive BFS on raw presentations.  The search keys are
 checked against the plain tuple implementation the byte-level kernel
-replaced.
+replaced, and the coset enumerator against the list-of-rows implementation
+the flat table replaced (it borrows only the package's letter coding and
+result type).
 """
 
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import gcd
+from typing import Optional
+
+from kirbycalc.certify import CosetTable
+from kirbycalc.presentations import Presentation
+from kirbycalc.words import encode_word, letter_codes
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +216,21 @@ def intersection_count_oracle(p1, q1, p2, q2):
 
     m_range = window(p1, q1)
     n_range = window(p2, q2)
-    for a in (F(1, 4), F(3, 4)):
-        for b in (F(1, 3), F(2, 3)):
+    # exact integers: every right-hand side is scaled by 12, so the offsets
+    # 1/4, 3/4 become 3, 9 and 1/3, 2/3 become 4, 8; x and y below are the
+    # crossing's coordinates times d > 0
+    d = -12 * det
+    sign = 1 if d > 0 else -1
+    d *= sign
+    for a in (3, 9):
+        for b in (4, 8):
             for m in m_range:
                 for n in n_range:
                     # p1 x - q1 y = a + m ; p2 x - q2 y = b + n
-                    rhs1, rhs2 = a + m, b + n
-                    x = (-q2 * rhs1 + q1 * rhs2) / F(-det)
-                    y = (p1 * rhs2 - p2 * rhs1) / F(-det)
-                    if 0 <= x < 1 and 0 <= y < 1:
+                    rhs1, rhs2 = a + 12 * m, b + 12 * n
+                    x = sign * (-q2 * rhs1 + q1 * rhs2)
+                    y = sign * (p1 * rhs2 - p2 * rhs1)
+                    if 0 <= x < d and 0 <= y < d:
                         count += 1
     assert count % 2 == 0
     return count // 2
@@ -379,3 +392,145 @@ def ref_search_key(relators, n_gens):
 
 def ref_canonical_key(relators, n_gens):
     return _ref_serialize(_ref_minimized_form(relators, n_gens, True), n_gens)
+
+
+# ---------------------------------------------------------------------------
+# coset enumeration: the reference list-of-rows implementation
+# ---------------------------------------------------------------------------
+# The HLT enumerator as it stood before the flat-table rewrite: one list per
+# coset row, and find() on every entry a scan reads.  The rewrite must give
+# the same CosetTable, field for field.  It uses the package's letter coding
+# and result type, not its enumerator.
+
+def ref_todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
+    """Enumerate cosets of the trivial subgroup of the presented group.
+
+    Relator-driven strategy: process live cosets in definition order, scan
+    every relator through each, filling gaps by defining new cosets, then
+    complete the row.  Deterministic for a fixed presentation and budget.
+    Budget exhaustion is reported as status "budget", never an error.
+    """
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be >= 1")
+    gens = p.generators
+    codes = letter_codes(gens)
+    width = 2 * len(gens)
+    relator_paths = [encode_word(r, codes) for r in p.relators]
+
+    table: list[list[Optional[int]]] = [[None] * width]
+    rep: list[int] = [0]            # union-find for coincidences
+    defined = 1
+
+    def find(c: int) -> int:
+        while rep[c] != c:
+            rep[c] = rep[rep[c]]
+            c = rep[c]
+        return c
+
+    def define(alpha: int, x: int) -> Optional[int]:
+        nonlocal defined
+        if defined >= max_cosets:
+            return None
+        beta = len(table)
+        table.append([None] * width)
+        rep.append(beta)
+        defined += 1
+        table[alpha][x] = beta
+        table[beta][x ^ 1] = alpha
+        return beta
+
+    def coincidence(alpha: int, beta: int) -> None:
+        queue: list[int] = []
+
+        def merge(u: int, v: int) -> None:
+            u, v = find(u), find(v)
+            if u != v:
+                lo, hi = min(u, v), max(u, v)
+                rep[hi] = lo
+                queue.append(hi)
+
+        merge(alpha, beta)
+        qi = 0
+        while qi < len(queue):
+            gamma = queue[qi]       # a dead coset whose row must be rewired
+            qi += 1
+            for x in range(width):
+                delta = table[gamma][x]
+                if delta is None:
+                    continue
+                table[delta][x ^ 1] = None
+                mu, nu = find(gamma), find(delta)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x])
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1])
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+
+    def scan_and_fill(alpha: int, path: tuple[int, ...]) -> bool:
+        """Trace a relator at alpha, defining cosets as needed.
+
+        Returns False when the coset budget is exhausted.
+        """
+        if not path:
+            return True
+        f, i = alpha, 0
+        b, j = alpha, len(path) - 1
+        while True:
+            while i <= j and table[f][path[i]] is not None:
+                f = find(table[f][path[i]])
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return True
+            while j >= i and table[b][path[j] ^ 1] is not None:
+                b = find(table[b][path[j] ^ 1])
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return True
+            if i == j:
+                # deduction closes the gap
+                table[f][path[i]] = b
+                table[b][path[i] ^ 1] = f
+                return True
+            new = define(f, path[i])
+            if new is None:
+                return False
+
+    exhausted = False
+    alpha = 0
+    while alpha < len(table):
+        if find(alpha) != alpha:
+            alpha += 1
+            continue
+        for path in relator_paths:
+            if not scan_and_fill(alpha, path):
+                exhausted = True
+                break
+            if find(alpha) != alpha:
+                break
+        if exhausted:
+            break
+        if find(alpha) == alpha:
+            for x in range(width):
+                if table[alpha][x] is None:
+                    if define(alpha, x) is None:
+                        exhausted = True
+                        break
+        if exhausted:
+            break
+        alpha += 1
+
+    live_ids = [c for c in range(len(table)) if find(c) == c]
+    if exhausted:
+        return CosetTable("budget", gens, (), None, len(live_ids), defined)
+
+    renumber = {c: k for k, c in enumerate(live_ids)}
+    compact = tuple(
+        tuple(renumber[find(table[c][x])] for x in range(width))
+        for c in live_ids)
+    order = len(live_ids)
+    return CosetTable("closed", gens, compact, order, order, defined)

@@ -277,14 +277,16 @@ class TestSearch:
 class TestPinnedSearch:
     """Statuses, stats and traces pinned from the search as it stood before
     nodes lost their generator names; any change to them is a change of the
-    search itself."""
+    search itself.  Two budget edges were corrected since: a budget that the
+    last allowed level uses up exactly, (4, 30) and (1, 1), leaves nothing
+    unsearched, so they read exhausted, no longer budget."""
 
     @pytest.mark.parametrize("depth, budget, status, stats", [
         (4, 100_000, "exhausted", (30, 60, 30)),
         (4, 31, "exhausted", (30, 60, 30)),
-        (4, 30, "budget", (30, 60, 30)),
+        (4, 30, "exhausted", (30, 60, 30)),
         (4, 29, "budget", (29, 56, 16)),
-        (1, 1, "budget", (1, 5, 4)),
+        (1, 1, "exhausted", (1, 5, 4)),
         (1, 2, "exhausted", (1, 5, 4)),
     ])
     def test_budget_edges(self, depth, budget, status, stats):

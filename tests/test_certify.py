@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kirbycalc.certify import (AbelianGroup, IntegerMatrix, MatrixError,
                                abelianization, certification_report, exponent_matrix,
@@ -11,7 +12,7 @@ from kirbycalc.presentations import (BalancedPresentation, Presentation,
                                      ak_presentation)
 from kirbycalc.words import Word
 
-from oracles import invariant_factors
+from oracles import invariant_factors, ref_todd_coxeter
 
 
 class TestExponentMatrix:
@@ -144,6 +145,60 @@ class TestCosetEnumeration:
         table = todd_coxeter(p, 1000)
         assert table.order == 8
         assert verify_coset_table(table, p)
+
+
+def _same_as_reference(p, budget):
+    # dataclass equality: status, table, order, live, defined and generators
+    got = todd_coxeter(p, budget)
+    assert got == ref_todd_coxeter(p, budget)
+    return got
+
+
+@st.composite
+def small_presentations(draw):
+    gens = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    letters = gens + tuple(g.upper() for g in gens)
+    rels = draw(st.lists(st.lists(st.sampled_from(letters), max_size=10),
+                         max_size=4))
+    return Presentation(gens, [" ".join(r) for r in rels])
+
+
+# finite groups whose enumeration hits many coincidences
+FINITE_GROUPS = {
+    "A5": (Presentation(("x", "y"), ("x x", "y y y", "x y x y x y x y x y")), 60),
+    "S3": (Presentation(("x", "y"), ("x x", "y y y", "x y x y")), 6),
+    "Q8": (Presentation(("a", "b"), ("a a a a", "a a B B", "B a b a")), 8),
+    "S4": (Presentation(("x", "y", "z"), ("x x", "y y", "z z", "x y x y x y",
+                                          "y z y z y z", "x z x z")), 24),
+}
+
+
+class TestToddCoxeterAgainstReference:
+    """The flat-table enumerator gives the same CosetTable, field for field,
+    as the list-of-rows implementation it replaced."""
+
+    @given(small_presentations(), st.integers(1, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_random_presentations(self, p, budget):
+        _same_as_reference(p, budget)
+
+    @pytest.mark.parametrize("name", sorted(FINITE_GROUPS))
+    def test_finite_groups_at_every_budget_scale(self, name):
+        p, order = FINITE_GROUPS[name]
+        statuses = set()
+        for budget in (1, 2, 3, 5, 8, 13, 20, 40, 70, 100, 300, 1000, 10_000):
+            table = _same_as_reference(p, budget)
+            statuses.add(table.status)
+            if table.closed():
+                assert table.order == order
+                assert verify_coset_table(table, p)
+        assert statuses == {"budget", "closed"}
+
+    def test_family_members(self):
+        for n in range(41):
+            for w in ("y x", "Y X"):
+                table = _same_as_reference(ak_presentation(n, w), 50_000)
+                assert table.closed() and table.order == 1
 
 
 class TestAcMoveInvariance:

@@ -32,6 +32,20 @@ class TestStructure:
         with pytest.raises(UnknownGeneratorError):
             B(("x",), ("y",))
 
+    def test_replace_checks_relators(self):
+        for p in (Presentation(("x", "y"), ("x",)), B(("x", "y"), ("x", "y"))):
+            with pytest.raises(UnknownGeneratorError):
+                p.replace(relators=("x", "z"))
+            with pytest.raises(PresentationError, match="bad word"):
+                p.replace(relators=("x", 5))
+            q = p.replace(relators=("y", "X x y"))
+            assert type(q) is type(p) and q.generators == ("x", "y")
+            assert texts(q) == ["y", "y"]
+        with pytest.raises(PresentationError, match="unbalanced"):
+            B(("x", "y"), ("x", "y")).replace(relators=("x",))
+        with pytest.raises(PresentationError, match="bad generator name"):
+            B(("x", "y"), ("x", "y")).replace(generators=("x", "Y"))
+
     @pytest.mark.parametrize("gens", [("x", ""), ("x", "Xa"), ("x", "y z"),
                                       ("x", 3), ("x", "2y")])
     def test_bad_generator_names(self, gens):
