@@ -95,8 +95,10 @@ class SearchOutcome:
 # -- encoding ---------------------------------------------------------------
 
 def encode_presentation(p: BalancedPresentation):
+    """The relators as ``bytes`` words of letter codes."""
+    kernel.check_generator_count(len(p.generators))
     codes = letter_codes(p.generators)
-    return tuple(encode_word(r, codes) for r in p.relators)
+    return tuple(bytes(encode_word(r, codes)) for r in p.relators)
 
 
 def canonical_key(p: BalancedPresentation) -> bytes:
@@ -115,15 +117,15 @@ def is_trivial_form(p: BalancedPresentation) -> bool:
 def _conjugators(n_gens: int, depth: int):
     """Freely reduced conjugator words of length <= depth, in length-lex
     order over the letters x0, X0, x1, X1, ..."""
-    words = [()]
-    level = [()]
+    words = [b""]
+    level = [b""]
     for _ in range(depth):
         nxt = []
         for w in level:
             for a in range(2 * n_gens):
                 if w and w[-1] == a ^ 1:
                     continue
-                nxt.append(w + (a,))
+                nxt.append(w + kernel.LETTERS[a])
         words.extend(nxt)
         level = nxt
     return tuple(words)
@@ -158,7 +160,7 @@ def replay_trace(p: BalancedPresentation, trace) -> BalancedPresentation:
 
 
 def _name_moves(p: BalancedPresentation, moves) -> list[dict]:
-    """Write the code-tuple conjugators of a move sequence from ``p`` as word
+    """Write the encoded conjugators of a move sequence from ``p`` as word
     text, each in the generator names in force at its step."""
     trace = []
     for move in moves:
@@ -177,7 +179,7 @@ def _expand(rels, cfg: SearchConfig, base_gens: int):
     enumeration order: inversions, single-letter conjugations,
     multiplications (conjugators in length-lex order), stabilization,
     destabilization.  A node is balanced, so it has len(rels) generators;
-    conjugators stay code tuples."""
+    relators and conjugators are ``bytes`` words."""
     n = len(rels)
     total = sum(len(r) for r in rels)
     cap = cfg.max_total_length
@@ -188,10 +190,10 @@ def _expand(rels, cfg: SearchConfig, base_gens: int):
 
     for i in range(n):
         rest = total - len(rels[i])
-        for a in range(2 * n):
-            new = kernel.conjugate_relator(rels[i], (a,))
+        for conj in kernel.LETTERS[:2 * n]:
+            new = kernel.conjugate_relator(rels[i], conj)
             if rest + len(new) <= cap:
-                yield {"move": "conjugate", "i": i, "conj": (a,)}, \
+                yield {"move": "conjugate", "i": i, "conj": conj}, \
                     rels[:i] + (new,) + rels[i + 1:]
 
     conjugators = _conjugators(n, cfg.conjugator_depth)
@@ -207,7 +209,7 @@ def _expand(rels, cfg: SearchConfig, base_gens: int):
                         rels[:i] + (new,) + rels[i + 1:]
 
     if n - base_gens < cfg.stabilizations and total + 1 <= cap:
-        yield {"move": "stabilize"}, rels + ((n << 1,),)
+        yield {"move": "stabilize"}, rels + (kernel.LETTERS[n << 1],)
 
     for i in range(n):
         if len(rels[i]) != 1:
@@ -217,7 +219,7 @@ def _expand(rels, cfg: SearchConfig, base_gens: int):
                for k, r in enumerate(rels)):
             continue
         yield {"move": "destabilize", "i": i}, tuple(
-            tuple(a - 2 if a >> 1 > sym else a for a in r)
+            bytes(a - 2 if a >> 1 > sym else a for a in r)
             for k, r in enumerate(rels) if k != i)
 
 

@@ -1,14 +1,25 @@
 """Word kernel of the trivialization search.
 
 Letters are the int codes of ``words.letter_codes``: generator i is 2*i, its
-inverse 2*i+1, so xor 1 inverts a letter.  Words are tuples of letters.  The keys are built on ``bytes``: each
-cyclic core is converted once, relabeled with ``bytes.translate`` and rotated
-by comparing ``bytes`` slices; ``bytes`` order equals the order of the int
-tuples, so the chosen form is the tuple form.
+inverse 2*i+1, so xor 1 inverts a letter.  Words are ``bytes`` from encoding
+to key: a relator is relabeled with ``bytes.translate`` and rotated by
+comparing ``bytes`` slices, and a key is the minimized relators, each ended
+by the terminator 0xFF.  0xFF is never a letter while 2 * n_gens <= 255.
 """
 
 from functools import lru_cache
 from itertools import permutations
+
+# One-letter words, indexed by letter.
+LETTERS = tuple(bytes((a,)) for a in range(256))
+_INVERSE = bytes(a ^ 1 for a in range(256))
+
+
+def check_generator_count(n_gens):
+    """0xFF ends a relator in a key, so it must not be a letter."""
+    if 2 * n_gens > 255:
+        raise ValueError(f"the search kernel takes at most 127 generators, "
+                         f"got {n_gens}")
 
 
 def reduce_word(seq):
@@ -18,24 +29,19 @@ def reduce_word(seq):
             stack.pop()
         else:
             stack.append(a)
-    return tuple(stack)
+    return bytes(stack)
 
 
 def invert_word(word):
-    return tuple(a ^ 1 for a in reversed(word))
+    return word[::-1].translate(_INVERSE)
 
 
-def _cyclic_core(word):
-    """Cyclic core of a tuple or bytes word, as the same type."""
+def cyclic_core(word):
     i, j = 0, len(word) - 1
     while i < j and word[i] == word[j] ^ 1:
         i += 1
         j -= 1
     return word[i:j + 1]
-
-
-def cyclic_core(word):
-    return tuple(_cyclic_core(word))
 
 
 def join_reduced(u, v):
@@ -65,8 +71,8 @@ def conjugate_relator(r, conj):
     return cyclic_core(join_reduced(join_reduced(conj, r), invert_word(conj)))
 
 
-def _least_rotation(word):
-    """Least rotation of a tuple or bytes word, as the same type.
+def least_rotation(word):
+    """Least rotation of a word.
 
     The least rotation starts with the smallest letter m, at the start of a
     maximal cyclic run of m: a start inside a run loses to the one before
@@ -86,10 +92,6 @@ def _least_rotation(word):
     return min(doubled[k:k + n] for k in starts)
 
 
-def least_rotation(word):
-    return _least_rotation(tuple(word))
-
-
 def _check_letters(relators, n_gens):
     for r in relators:
         for a in r:
@@ -100,13 +102,13 @@ def _check_letters(relators, n_gens):
 def _byte_cores(relators, n_gens):
     """The relators' cyclic cores as bytes, after the letter-range check."""
     try:
-        words = [bytes(tuple(r)) for r in relators]
+        words = [bytes(r) for r in relators]
     except (TypeError, ValueError):
         _check_letters(relators, n_gens)
         raise
     if any(w and max(w) >= 2 * n_gens for w in words):
         _check_letters(relators, n_gens)
-    return [_cyclic_core(w) for w in words]
+    return [cyclic_core(w) for w in words]
 
 
 def _relabel_tables(n_gens):
@@ -131,9 +133,10 @@ def _cached_relabel_tables(n_gens):
 
 
 def _minimized_form(relators, n_gens, fold_inversion):
-    """Sorted least rotations of the cyclic cores as bytes, minimized over
-    generator relabelings; with fold_inversion each relator is the lesser
-    of its own and its inverse's least rotation."""
+    """Sorted least rotations of the cyclic cores, minimized over generator
+    relabelings; with fold_inversion each relator is the lesser of its own
+    and its inverse's least rotation."""
+    check_generator_count(n_gens)
     cores = _byte_cores(relators, n_gens)
     reversed_cores = [c[::-1] for c in cores] if fold_inversion else None
     tables = (_cached_relabel_tables(n_gens) if n_gens <= _CACHED_TABLE_GENS
@@ -141,11 +144,11 @@ def _minimized_form(relators, n_gens, fold_inversion):
     best = None
     for relabel, relabel_inverse in tables:
         if fold_inversion:
-            form = [min(_least_rotation(c.translate(relabel)),
-                        _least_rotation(rc.translate(relabel_inverse)))
+            form = [min(least_rotation(c.translate(relabel)),
+                        least_rotation(rc.translate(relabel_inverse)))
                     for c, rc in zip(cores, reversed_cores)]
         else:
-            form = [_least_rotation(c.translate(relabel)) for c in cores]
+            form = [least_rotation(c.translate(relabel)) for c in cores]
         form.sort()
         if best is None or form < best:
             best = form
@@ -153,13 +156,8 @@ def _minimized_form(relators, n_gens, fold_inversion):
 
 
 def _serialize(form, n_gens):
-    out = bytearray((n_gens,))
-    for rel in form:
-        if len(rel) > 254:
-            raise ValueError("relator too long for key serialization")
-        out.append(len(rel))
-        out += rel
-    return bytes(out)
+    """One byte n_gens, then each relator followed by 0xFF."""
+    return bytes((n_gens,)) + b"\xff".join([*form, b""])
 
 
 def canonical_key(relators, n_gens):

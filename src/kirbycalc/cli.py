@@ -83,7 +83,8 @@ def build_parser() -> _Parser:
     wi = sub.add_parser("wirtinger", help="presentations from a PD code")
     wi.add_argument("pdcode", help="PD JSON file")
     wi.add_argument("--framings", default=None,
-                    help="comma-separated framings, one per component")
+                    help="comma-separated framings, one per component "
+                         "(with --surgery)")
     wi.add_argument("--surgery", action="store_true",
                     help="emit the surgery presentation (requires --framings)")
 
@@ -148,10 +149,10 @@ def _parse_framings(text: str) -> list[int]:
 
 
 def _cmd_wirtinger(args) -> int:
+    if args.surgery != (args.framings is not None):
+        raise SystemExit("error: --surgery and --framings go together")
     pd = wirtinger.PDCode.from_json(_load_json(args.pdcode))
     if args.surgery:
-        if args.framings is None:
-            raise SystemExit("error: --surgery requires --framings")
         sp = wirtinger.surgery_presentation(pd, _parse_framings(args.framings))
         data = sp.to_json()
         data["abelianization"] = sp.abelianization().to_json()

@@ -29,17 +29,12 @@ DEFAULT_COSET_BUDGET = 100_000
 DEFAULT_MAX_Q = 3
 
 
-def default_search_config(p, max_total_length=None, max_depth=5,
-                          conjugator_depth=1, node_budget=5_000,
-                          stabilizations=0, workers=1) -> SearchConfig:
-    """Desk-scale defaults; the length cap leaves room for one relator to be
-    multiplied through another."""
-    if max_total_length is None:
-        max_total_length = p.total_relator_length() + 8
-    return SearchConfig(max_total_length=max_total_length, max_depth=max_depth,
-                        conjugator_depth=conjugator_depth,
-                        node_budget=node_budget,
-                        stabilizations=stabilizations, workers=workers)
+def default_search_config(p, **given) -> SearchConfig:
+    """Desk-scale bounds: SearchConfig's defaults but depth 5, budget 5,000
+    and a length cap of the input's total length + 8, room for one relator
+    to be multiplied through another; the search keywords given win."""
+    return SearchConfig(**{"max_total_length": p.total_relator_length() + 8,
+                           "max_depth": 5, "node_budget": 5_000, **given})
 
 
 def run_pipeline(n: int, w: str = "y x",

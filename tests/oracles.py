@@ -324,7 +324,8 @@ def brute_force_trivializable(generators, relators, max_total, max_depth,
 # ---------------------------------------------------------------------------
 # Letters are ints, generator i is 2*i and its inverse 2*i+1.  Every
 # rotation is sliced and compared, and every relator is relabeled letter by
-# letter, once per generator permutation.
+# letter, once per generator permutation.  A key is one byte n_gens, then
+# each relator of the least form followed by the terminator 0xFF.
 
 def _ref_cyclic_core(word):
     i, j = 0, len(word) - 1
@@ -379,10 +380,8 @@ def _ref_serialize(form, n_gens):
     out = bytearray()
     out.append(n_gens)
     for rel in form:
-        if len(rel) > 254:
-            raise ValueError("relator too long for key serialization")
-        out.append(len(rel))
         out.extend(rel)
+        out.append(0xFF)
     return bytes(out)
 
 

@@ -8,6 +8,7 @@ from kirbycalc.acsearch import (BoundsError, SearchConfig, TraceError,
                                 search)
 from kirbycalc.acsearch import kernel
 from kirbycalc.acsearch.core import _name_moves
+from kirbycalc.pipeline import run_pipeline
 from kirbycalc.presentations import BalancedPresentation, ak_presentation
 
 from oracles import brute_force_trivializable, ref_canonical_key, ref_search_key
@@ -51,18 +52,18 @@ def _rotated(word, shift):
 
 def _family_word(n, shift):
     """x^(n+1) Y^n, rotated: the long relator of the family."""
-    return _rotated((0,) * (n + 1) + (3,) * n, shift)
+    return _rotated(b"\0" * (n + 1) + b"\3" * n, shift)
 
 
 @st.composite
 def key_inputs(draw):
-    """1-3 generators and up to 3 relators of 0-300 letters: reduced words,
-    unreduced ones, words whose cores cancel completely, rotated family
-    words, and now and then a letter out of range."""
+    """1-3 generators and up to 3 bytes relators of 0-300 letters: reduced
+    words, unreduced ones, words whose cores cancel completely, rotated
+    family words, and now and then a tuple with a letter out of range."""
     n_gens = draw(st.integers(min_value=1, max_value=3))
     letters = st.integers(min_value=0, max_value=2 * n_gens - 1)
     words = st.integers(min_value=0, max_value=300).flatmap(
-        lambda n: st.lists(letters, min_size=n, max_size=n)).map(tuple)
+        lambda n: st.lists(letters, min_size=n, max_size=n)).map(bytes)
     relator = st.one_of(
         words.map(kernel.reduce_word),
         words,
@@ -97,10 +98,8 @@ class TestKeyBytes:
         (((0, 1, 4),), 2, "letter 4 out of range for 2 generators"),
         (((0, 2), (-1,)), 2, "letter -1 out of range for 2 generators"),
         (((0, 2), (3, 5, 0)), 3, None),
-        (((0,) * 128 + (3,) * 127,), 2,
-         "relator too long for key serialization"),
-        ((_family_word(127, 5), (4,)), 3,
-         "relator too long for key serialization"),
+        ((b"\0" * 128 + b"\3" * 127,), 2, None),
+        ((_family_word(127, 5), b"\4"), 3, None),
     ])
     def test_errors_match_reference(self, rels, n_gens, message):
         for key, ref in ((kernel.search_key, ref_search_key),
@@ -115,31 +114,47 @@ class TestKeyBytes:
 
     def test_many_generators(self):
         # past the cached relabeling tables
-        rels = ((0, 4, 9, 14, 3), (15, 2, 2, 6))
+        rels = (bytes((0, 4, 9, 14, 3)), bytes((15, 2, 2, 6)))
         assert kernel.search_key(rels, 8) == ref_search_key(rels, 8)
+
+    def test_empty_relator_is_kept(self):
+        assert kernel.search_key([], 2) != kernel.search_key([b""], 2)
+        assert kernel.canonical_key([], 2) != kernel.canonical_key([b""], 2)
+
+    def test_too_many_generators(self, monkeypatch):
+        # 0xFF would be a letter; refused before any relabeling
+        def no_tables(n_gens):
+            raise AssertionError("relabelings enumerated")
+        monkeypatch.setattr(kernel, "_relabel_tables", no_tables)
+        monkeypatch.setattr(kernel, "_cached_relabel_tables", no_tables)
+        for key in (kernel.search_key, kernel.canonical_key):
+            with pytest.raises(ValueError, match="at most 127 generators"):
+                key([b"\0"], 128)
+        gens = tuple(f"g{k}" for k in range(128))
+        with pytest.raises(ValueError, match="at most 127 generators"):
+            canonical_key(B(gens, gens))
 
 
 class TestLeastRotation:
     @given(st.one_of(
-        st.builds(lambda a, k: (a,) * k, st.integers(min_value=0, max_value=5),
+        st.builds(lambda a, k: bytes((a,)) * k,
+                  st.integers(min_value=0, max_value=5),
                   st.integers(min_value=0, max_value=40)),
-        st.builds(lambda k, s: _rotated((0, 2) * k, s),
+        st.builds(lambda k, s: _rotated(b"\0\2" * k, s),
                   st.integers(min_value=1, max_value=40), st.integers()),
         st.builds(_family_word, st.integers(min_value=0, max_value=60),
                   st.integers()),
-        st.lists(st.integers(min_value=0, max_value=5), max_size=60).map(tuple)))
+        st.lists(st.integers(min_value=0, max_value=5), max_size=60).map(bytes)))
     @settings(max_examples=300)
     def test_is_least_of_all_rotations(self, word):
-        least = min((_rotated(word, k) for k in range(len(word))), default=())
+        least = min((_rotated(word, k) for k in range(len(word))), default=b"")
         assert kernel.least_rotation(word) == least
-        assert kernel.least_rotation(list(word)) == least
-        assert kernel._least_rotation(bytes(word)) == bytes(least)
 
     def test_examples(self):
-        assert kernel.least_rotation((2, 2, 2)) == (2, 2, 2)
-        assert kernel.least_rotation((2, 0, 2, 0)) == (0, 2, 0, 2)
-        assert kernel.least_rotation((3, 0, 0, 3, 0)) == (0, 0, 3, 0, 3)
-        assert kernel.least_rotation(()) == ()
+        assert kernel.least_rotation(b"\2\2\2") == b"\2\2\2"
+        assert kernel.least_rotation(b"\2\0\2\0") == b"\0\2\0\2"
+        assert kernel.least_rotation(b"\3\0\0\3\0") == b"\0\0\3\0\3"
+        assert kernel.least_rotation(b"") == b""
 
 
 reduced_words = encoded_words.map(kernel.reduce_word)
@@ -150,7 +165,7 @@ def join_inputs(draw):
     """Reduced r, s and c (c often empty), where r and s are now and then
     built to cancel partly or fully against c and each other."""
     inv, red = kernel.invert_word, kernel.reduce_word
-    c = draw(st.one_of(st.just(()), reduced_words))
+    c = draw(st.one_of(st.just(b""), reduced_words))
     w = draw(reduced_words)
     r = draw(st.one_of(reduced_words, st.just(red(inv(c) + w + c))))
     s = draw(st.one_of(reduced_words, st.just(inv(r)),
@@ -174,12 +189,12 @@ class TestJoinReduced:
             kernel.cyclic_core(red(c + r + inv(c)))
 
     def test_full_cancellation(self):
-        r, c = (0, 2, 1), (3, 4)
-        assert kernel.join_reduced(r, kernel.invert_word(r)) == ()
+        r, c = b"\0\2\1", b"\3\4"
+        assert kernel.join_reduced(r, kernel.invert_word(r)) == b""
         s = kernel.reduce_word(kernel.invert_word(c) + kernel.invert_word(r) + c)
-        assert kernel.multiply_relator(r, s, c) == ()
-        assert kernel.conjugate_relator((5, 2, 0, 3, 4), c) == (0,)
-        assert kernel.multiply_relator((), (), ()) == ()
+        assert kernel.multiply_relator(r, s, c) == b""
+        assert kernel.conjugate_relator(b"\5\2\0\3\4", c) == b"\0"
+        assert kernel.multiply_relator(b"", b"", b"") == b""
 
 
 class TestTrivialForm:
@@ -272,6 +287,13 @@ class TestSearch:
             SearchConfig(max_total_length=1, max_depth=1, node_budget=0)
         with pytest.raises(ValueError):
             SearchConfig(max_total_length=1, max_depth=1, workers=0)
+
+
+class TestLongRelators:
+    @pytest.mark.parametrize("n, w", [(123, "y x"), (144, "Y X")])
+    def test_family_members_complete(self, n, w):
+        # relators of 2n+1 letters; keys carry no relator length
+        assert run_pipeline(n, w)["search"]["status"] == "exhausted"
 
 
 class TestPinnedSearch:

@@ -228,6 +228,12 @@ class TestWirtinger:
         code, _, err = run(capsys, "wirtinger", pd, "--surgery")
         assert code == 1 and "--framings" in err
 
+    def test_framings_require_surgery(self, capsys, tmp_path):
+        pd = write(tmp_path, "unknot.json", {"crossings": [],
+                                             "components": [[1]]})
+        code, out, err = run(capsys, "wirtinger", pd, "--framings", "0,0")
+        assert code == 1 and "--surgery" in err and out == ""
+
 
 class TestPipeline:
     def test_n0_report(self, capsys):
