@@ -236,6 +236,9 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
     """
     if not isinstance(p, BalancedPresentation):
         raise BoundsError("search requires a balanced presentation")
+    # stabilizing adds generators to the encoded nodes, which must stay
+    # within the kernel's letter range
+    kernel.check_generator_count(len(p.generators) + cfg.stabilizations)
     if p.total_relator_length() > cfg.max_total_length:
         raise BoundsError(
             f"input total relator length {p.total_relator_length()} exceeds "

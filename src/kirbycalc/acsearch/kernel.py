@@ -4,7 +4,12 @@ Letters are the int codes of ``words.letter_codes``: generator i is 2*i, its
 inverse 2*i+1, so xor 1 inverts a letter.  Words are ``bytes`` from encoding
 to key: a relator is relabeled with ``bytes.translate`` and rotated by
 comparing ``bytes`` slices, and a key is the minimized relators, each ended
-by the terminator 0xFF.  0xFF is never a letter while 2 * n_gens <= 255.
+by the terminator 0xFF.
+
+Precondition: relators are ``bytes`` whose letters are below 2 * n_gens,
+and n_gens <= 127, so 0xFF is never a letter.  ``core.encode_presentation``
+and the entry of ``core.search`` check it with ``check_generator_count``;
+the other functions here take their words as given.
 """
 
 from functools import lru_cache
@@ -92,37 +97,17 @@ def least_rotation(word):
     return min(doubled[k:k + n] for k in starts)
 
 
-def _check_letters(relators, n_gens):
-    for r in relators:
-        for a in r:
-            if not 0 <= a < 2 * n_gens:
-                raise ValueError(f"letter {a} out of range for {n_gens} generators")
-
-
-def _byte_cores(relators, n_gens):
-    """The relators' cyclic cores as bytes, after the letter-range check."""
-    try:
-        words = [bytes(r) for r in relators]
-    except (TypeError, ValueError):
-        _check_letters(relators, n_gens)
-        raise
-    if any(w and max(w) >= 2 * n_gens for w in words):
-        _check_letters(relators, n_gens)
-    return [cyclic_core(w) for w in words]
-
-
 def _relabel_tables(n_gens):
     """Per generator permutation, a bytes.translate table that relabels a
-    word, and one that turns the reversed word into its relabeled inverse."""
+    word; a relabeling keeps each letter's pair, so it commutes with
+    inversion."""
     pairs = [bytes((2 * g, 2 * g + 1)) for g in range(n_gens)]
-    swapped = [pair[::-1] for pair in pairs]
     unused = bytes(range(2 * n_gens, 256))
     for perm in permutations(range(n_gens)):
-        yield (b"".join([pairs[g] for g in perm]) + unused,
-               b"".join([swapped[g] for g in perm]) + unused)
+        yield b"".join([pairs[g] for g in perm]) + unused
 
 
-# Tables are kept for up to 7 generators (5040 permutations, about 3 MB);
+# Tables are kept for up to 7 generators (5040 permutations, about 1.3 MB);
 # beyond that they are built afresh for each key.
 _CACHED_TABLE_GENS = 7
 
@@ -136,19 +121,14 @@ def _minimized_form(relators, n_gens, fold_inversion):
     """Sorted least rotations of the cyclic cores, minimized over generator
     relabelings; with fold_inversion each relator is the lesser of its own
     and its inverse's least rotation."""
-    check_generator_count(n_gens)
-    cores = _byte_cores(relators, n_gens)
-    reversed_cores = [c[::-1] for c in cores] if fold_inversion else None
+    cores = [cyclic_core(r) for r in relators]
     tables = (_cached_relabel_tables(n_gens) if n_gens <= _CACHED_TABLE_GENS
               else _relabel_tables(n_gens))
     best = None
-    for relabel, relabel_inverse in tables:
+    for relabel in tables:
+        form = [least_rotation(c.translate(relabel)) for c in cores]
         if fold_inversion:
-            form = [min(least_rotation(c.translate(relabel)),
-                        least_rotation(rc.translate(relabel_inverse)))
-                    for c, rc in zip(cores, reversed_cores)]
-        else:
-            form = [least_rotation(c.translate(relabel)) for c in cores]
+            form = [min(r, least_rotation(invert_word(r))) for r in form]
         form.sort()
         if best is None or form < best:
             best = form

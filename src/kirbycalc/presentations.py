@@ -166,13 +166,13 @@ def ac_conjugate(p: BalancedPresentation, i: int, conj):
     return p.replace(relators=rels)
 
 
-def fresh_generator(used: Sequence[str], stem: str = "g") -> str:
-    if stem not in used:
-        return stem
+def fresh_generator(used: Sequence[str]) -> str:
+    if "g" not in used:
+        return "g"
     k = 2
-    while f"{stem}{k}" in used:
+    while f"g{k}" in used:
         k += 1
-    return f"{stem}{k}"
+    return f"g{k}"
 
 
 def stabilize(p: BalancedPresentation):

@@ -138,14 +138,9 @@ def enumerate_candidates(max_q: int) -> list[Slope]:
     if max_q < 0:
         raise SlopeError("max_q must be >= 0")
     p_cap = max(max_q, 1)
-    pool = {Slope(1, 0)}
-    for q in range(1, max_q + 1):
-        for p in range(-p_cap, p_cap + 1):
-            if gcd(abs(p), q) == 1:
-                pool.add(Slope(p, q))
-    # 1/0 never survives the filter: its parity class is the gamma class,
-    # so every candidate has q >= 1 and a finite value to sort by
-    return sorted((s for s in pool if is_candidate(s)), key=lambda s: s.value())
+    pool = [Slope(p, q) for q in range(1, max_q + 1)
+            for p in range(-p_cap, p_cap + 1) if gcd(abs(p), q) == 1]
+    return sorted(filter(is_candidate, pool), key=lambda s: s.value())
 
 
 @dataclass(frozen=True)

@@ -131,9 +131,6 @@ class PDCode:
                 parent[max(a, b)] = min(a, b)
         return {e: find(e) for e in parent}
 
-    def arc_generator(self, edge: int) -> str:
-        return f"a{self.arc_classes()[edge]}"
-
     # -- linking data ----------------------------------------------------------
 
     def writhe(self, component: int) -> int:
@@ -207,7 +204,8 @@ def meridian_word(pd: PDCode, component: int) -> Word:
     listed edge."""
     if not 0 <= component < len(pd.components):
         raise PDCodeError(f"no component {component}")
-    return Word([(pd.arc_generator(pd.components[component][0]), 1)])
+    arc = pd.arc_classes()[pd.components[component][0]]
+    return Word([(f"a{arc}", 1)])
 
 
 def longitude_word(pd: PDCode, component: int, framing: int) -> Word:

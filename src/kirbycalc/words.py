@@ -76,8 +76,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((sym, -sign) for sym, sign in reversed(self.letters)))
 
-    __invert__ = inverse
-
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
