@@ -9,6 +9,13 @@ reachable successors.  The full-equivalence key (inversion included) is
 exposed separately as canonical_key.  Generator names are written only along
 a reported trivialization, which is replayed through the public move
 operations before it is returned.
+
+Each expanded node gets one rotation table (``kernel.rotation_table``: per
+relabeling, the least rotations of its relators), which lives while its
+children are generated.  An invert, conjugate or multiply child replaces
+one relator, so its key is built from the table with only that relator
+rotated afresh; a stabilize or destabilize child changes the generator
+count and is keyed in full.
 """
 
 from __future__ import annotations
@@ -175,17 +182,19 @@ def _name_moves(p: BalancedPresentation, moves) -> list[dict]:
 # -- expansion --------------------------------------------------------------
 
 def _expand(rels, cfg: SearchConfig, base_gens: int):
-    """All legal single-move successors as (move, child) pairs, in the fixed
-    enumeration order: inversions, single-letter conjugations,
+    """All legal single-move successors as (move, slot, child) triples, in
+    the fixed enumeration order: inversions, single-letter conjugations,
     multiplications (conjugators in length-lex order), stabilization,
-    destabilization.  A node is balanced, so it has len(rels) generators;
-    relators and conjugators are ``bytes`` words."""
+    destabilization.  ``slot`` is the one relator index a move replaces,
+    or None when it changes the generator count.  A node is balanced, so
+    it has len(rels) generators; relators and conjugators are ``bytes``
+    words."""
     n = len(rels)
     total = sum(len(r) for r in rels)
     cap = cfg.max_total_length
 
     for i in range(n):
-        yield {"move": "invert", "i": i}, \
+        yield {"move": "invert", "i": i}, i, \
             rels[:i] + (kernel.invert_word(rels[i]),) + rels[i + 1:]
 
     for i in range(n):
@@ -193,7 +202,7 @@ def _expand(rels, cfg: SearchConfig, base_gens: int):
         for conj in kernel.LETTERS[:2 * n]:
             new = kernel.conjugate_relator(rels[i], conj)
             if rest + len(new) <= cap:
-                yield {"move": "conjugate", "i": i, "conj": conj}, \
+                yield {"move": "conjugate", "i": i, "conj": conj}, i, \
                     rels[:i] + (new,) + rels[i + 1:]
 
     conjugators = _conjugators(n, cfg.conjugator_depth)
@@ -205,11 +214,11 @@ def _expand(rels, cfg: SearchConfig, base_gens: int):
             for conj in conjugators:
                 new = kernel.multiply_relator(rels[i], rels[j], conj)
                 if rest + len(new) <= cap:
-                    yield {"move": "multiply", "i": i, "j": j, "conj": conj}, \
-                        rels[:i] + (new,) + rels[i + 1:]
+                    move = {"move": "multiply", "i": i, "j": j, "conj": conj}
+                    yield move, i, rels[:i] + (new,) + rels[i + 1:]
 
     if n - base_gens < cfg.stabilizations and total + 1 <= cap:
-        yield {"move": "stabilize"}, rels + (kernel.LETTERS[n << 1],)
+        yield {"move": "stabilize"}, None, rels + (kernel.LETTERS[n << 1],)
 
     for i in range(n):
         if len(rels[i]) != 1:
@@ -218,7 +227,7 @@ def _expand(rels, cfg: SearchConfig, base_gens: int):
         if any(k != i and any(a >> 1 == sym for a in r)
                for k, r in enumerate(rels)):
             continue
-        yield {"move": "destabilize", "i": i}, tuple(
+        yield {"move": "destabilize", "i": i}, None, tuple(
             bytes(a - 2 if a >> 1 > sym else a for a in r)
             for k, r in enumerate(rels) if k != i)
 
@@ -267,10 +276,15 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
 
         next_frontier = []
         for node_key, nrels in frontier[:take]:
-            for move, crels in _expand(nrels, cfg, base_gens):
+            n = len(nrels)
+            table = kernel.rotation_table(nrels, n)
+            for move, slot, crels in _expand(nrels, cfg, base_gens):
                 if goal is None and kernel.is_trivial_encoded(crels, len(crels)):
                     goal = (node_key, move)
-                key = kernel.search_key(crels, len(crels))
+                if slot is None:
+                    key = kernel.search_key(crels, len(crels))
+                else:
+                    key = kernel.child_search_key(table, slot, crels[slot], n)
                 if key not in parents:
                     parents[key] = (node_key, move)
                     next_frontier.append((key, crels))

@@ -6,6 +6,15 @@ to key: a relator is relabeled with ``bytes.translate`` and rotated by
 comparing ``bytes`` slices, and a key is the minimized relators, each ended
 by the terminator 0xFF.
 
+A least rotation starts a longest cyclic run of the least letter, so only
+those rotations are compared, and the run and its starts are found with
+C-level ``bytes`` searches (``in``, ``count``, ``find``).  A key minimizes,
+over the generator relabelings, the sorted least rotations of the relators'
+cyclic cores.  ``rotation_table`` holds those rotations, one row per
+relabeling; the search builds one table per expanded node, and
+``child_search_key`` keys a child that replaces one relator from it,
+rotating only the new relator.
+
 Precondition: relators are ``bytes`` whose letters are below 2 * n_gens,
 and n_gens <= 127, so 0xFF is never a letter.  ``core.encode_presentation``
 and the entry of ``core.search`` check it with ``check_generator_count``;
@@ -79,22 +88,43 @@ def conjugate_relator(r, conj):
 def least_rotation(word):
     """Least rotation of a word.
 
-    The least rotation starts with the smallest letter m, at the start of a
-    maximal cyclic run of m: a start inside a run loses to the one before
-    it, which begins with one more m.  Only those starts are compared.
+    The least rotation starts with the least letter m, at the start of a
+    longest cyclic run of m: a rotation that starts with a shorter run has
+    a larger letter where the other still has m.  The run length comes
+    from ``in`` on the doubled word (one run holding every m, else a binary
+    search), and ``find`` gives the run starts; only those rotations are
+    compared.
     """
     n = len(word)
     if n < 2:
         return word
-    m = min(word)
-    starts = [k for k in range(n) if word[k] == m and word[k - 1] != m]
-    if not starts:      # one letter repeated
-        return word
-    if len(starts) == 1:
-        k = starts[0]
-        return word[k:] + word[:k]
+    for m in LETTERS:
+        if m in word:
+            break
     doubled = word + word
-    return min(doubled[k:k + n] for k in starts)
+    run = m * word.count(m)
+    k = doubled.find(run)
+    if k >= 0:          # every m in one cyclic run
+        return doubled[k:k + n]
+    lo, hi = 1, len(run) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if m * mid in doubled:
+            lo = mid
+        else:
+            hi = mid - 1
+    # a longest run is maximal wherever it occurs, so the next start is
+    # past the letter that ends it
+    run = m * lo
+    k = doubled.find(run)
+    best = doubled[k:k + n]
+    k = doubled.find(run, k + lo + 1)
+    while 0 <= k < n:
+        rotation = doubled[k:k + n]
+        if rotation < best:
+            best = rotation
+        k = doubled.find(run, k + lo + 1)
+    return best
 
 
 def _relabel_tables(n_gens):
@@ -117,18 +147,31 @@ def _cached_relabel_tables(n_gens):
     return tuple(_relabel_tables(n_gens))
 
 
-def _minimized_form(relators, n_gens, fold_inversion):
-    """Sorted least rotations of the cyclic cores, minimized over generator
-    relabelings; with fold_inversion each relator is the lesser of its own
-    and its inverse's least rotation."""
+def _tables(n_gens):
+    return (_cached_relabel_tables(n_gens) if n_gens <= _CACHED_TABLE_GENS
+            else _relabel_tables(n_gens))
+
+
+def _rotation_rows(relators, n_gens):
+    """Per generator relabeling, the least rotations of the relators'
+    cyclic cores, in relator order."""
     cores = [cyclic_core(r) for r in relators]
-    tables = (_cached_relabel_tables(n_gens) if n_gens <= _CACHED_TABLE_GENS
-              else _relabel_tables(n_gens))
+    for relabel in _tables(n_gens):
+        yield [least_rotation(c.translate(relabel)) for c in cores]
+
+
+def rotation_table(relators, n_gens):
+    """All n_gens! rotation rows of a node, kept whole even past the cached
+    relabel tables (40,320 rows at 8 generators); a key alone streams
+    them."""
+    return list(_rotation_rows(relators, n_gens))
+
+
+def _least_form(rows):
+    """The least of the rows, each sorted in place (so they must not be a
+    node's table): the form minimized over relabelings."""
     best = None
-    for relabel in tables:
-        form = [least_rotation(c.translate(relabel)) for c in cores]
-        if fold_inversion:
-            form = [min(r, least_rotation(invert_word(r))) for r in form]
+    for form in rows:
         form.sort()
         if best is None or form < best:
             best = form
@@ -143,13 +186,28 @@ def _serialize(form, n_gens):
 def canonical_key(relators, n_gens):
     """Stable byte key: equal exactly up to relator order, relator
     inversion, cyclic rotation, and generator relabeling."""
-    return _serialize(_minimized_form(relators, n_gens, True), n_gens)
+    return _serialize(_least_form(
+        [min(r, least_rotation(invert_word(r))) for r in row]
+        for row in _rotation_rows(relators, n_gens)), n_gens)
 
 
 def search_key(relators, n_gens):
     """Dedup key for the move search: quotients relator order, rotation and
     relabeling but NOT inversion, which is itself a move."""
-    return _serialize(_minimized_form(relators, n_gens, False), n_gens)
+    return _serialize(_least_form(_rotation_rows(relators, n_gens)), n_gens)
+
+
+def child_search_key(table, i, relator, n_gens):
+    """search_key of a child that replaces relator i of the node whose
+    rotation table is ``table`` by ``relator``: only the new relator is
+    rotated, once per relabeling."""
+    core = cyclic_core(relator)
+    forms = []
+    for relabel, row in zip(_tables(n_gens), table):
+        form = row.copy()
+        form[i] = least_rotation(core.translate(relabel))
+        forms.append(form)
+    return _serialize(_least_form(forms), n_gens)
 
 
 def is_trivial_encoded(relators, n_gens):

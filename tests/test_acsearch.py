@@ -7,7 +7,7 @@ from kirbycalc.acsearch import (BoundsError, SearchConfig, TraceError,
                                 canonical_key, is_trivial_form, replay_trace,
                                 search)
 from kirbycalc.acsearch import kernel
-from kirbycalc.acsearch.core import _name_moves
+from kirbycalc.acsearch.core import _expand, _name_moves, encode_presentation
 from kirbycalc.pipeline import run_pipeline
 from kirbycalc.presentations import BalancedPresentation, ak_presentation
 
@@ -147,6 +147,41 @@ class TestLeastRotation:
         assert kernel.least_rotation(b"\3\0\0\3\0") == b"\0\0\3\0\3"
         assert kernel.least_rotation(b"") == b""
 
+    @pytest.mark.parametrize("word, least", [
+        pytest.param(b"\0\0\1\0\0\2", b"\0\0\1\0\0\2", id="equal-longest-runs"),
+        pytest.param(b"\0\0\2\0\0\1", b"\0\0\1\0\0\2",
+                     id="equal-longest-runs-second-least"),
+        pytest.param(b"\0\0\2\0\0\2\0\0\1", b"\0\0\1\0\0\2\0\0\2",
+                     id="three-equal-runs-last-least"),
+        pytest.param(b"\0\1\2\0\0", b"\0\0\0\1\2", id="longest-run-wraps"),
+        pytest.param(b"\0\1\0\0\2\0", b"\0\0\1\0\0\2",
+                     id="wrapping-run-least-of-two"),
+        pytest.param(b"\0\2\0\0\0\1", b"\0\0\0\1\0\2",
+                     id="longest-run-not-first"),
+        pytest.param(b"\5\3\5\3\3\5", b"\3\3\5\5\3\5", id="least-letter-3"),
+        pytest.param(b"\1\0", b"\0\1", id="two-letters"),
+        pytest.param(b"\0\1", b"\0\1", id="two-letters-least-first"),
+        pytest.param(b"\3\3", b"\3\3", id="two-equal-letters"),
+    ])
+    def test_run_edge_cases(self, word, least):
+        assert kernel.least_rotation(word) == least
+
+    @given(st.builds(
+        _rotated,
+        st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                           st.one_of(st.integers(min_value=1, max_value=3),
+                                     st.integers(min_value=1, max_value=12))),
+                 min_size=1, max_size=12).map(
+            lambda runs: b"".join(kernel.LETTERS[a] * k for a, k in runs)),
+        st.integers()))
+    @settings(max_examples=300)
+    def test_runs_of_random_lengths(self, word):
+        # several runs of the least letter, often of equal length, up to 24
+        # letters when two runs meet: the binary search over run length and
+        # the walk over equal longest runs are exercised
+        least = min(_rotated(word, k) for k in range(len(word)))
+        assert kernel.least_rotation(word) == least
+
 
 reduced_words = encoded_words.map(kernel.reduce_word)
 
@@ -186,6 +221,62 @@ class TestJoinReduced:
         assert kernel.multiply_relator(r, s, c) == b""
         assert kernel.conjugate_relator(b"\5\2\0\3\4", c) == b"\0"
         assert kernel.multiply_relator(b"", b"", b"") == b""
+
+
+@st.composite
+def expand_inputs(draw):
+    """A node of 1-4 generators, one freely reduced relator each, whose
+    last generator is now and then stabilized (a lone one-letter relator:
+    a destabilize child), and a base generator count that now and then
+    leaves room for a stabilization."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    free = n - draw(st.integers(min_value=0, max_value=1))
+    word = (st.lists(st.integers(min_value=0, max_value=2 * free - 1),
+                     max_size=8).map(bytes).map(kernel.reduce_word)
+            if free else st.just(b""))
+    rels = [draw(word) for _ in range(free)]
+    rels += [kernel.LETTERS[2 * g] for g in range(free, n)]
+    rels = tuple(draw(st.permutations(rels)))
+    return rels, draw(st.integers(min_value=n - 1, max_value=n))
+
+
+def _check_child_keys(rels, cfg, base_gens):
+    """Each child's key, from its parent's rotation table where one slot
+    changed and afresh where the generator count changed, equals the full
+    key and the reference key.  Returns the move kinds and the children."""
+    table = kernel.rotation_table(rels, len(rels))
+    kinds, children = set(), []
+    for move, slot, child in _expand(rels, cfg, base_gens):
+        key = kernel.search_key(child, len(child))
+        assert key == ref_search_key(child, len(child))
+        if slot is not None:
+            assert kernel.child_search_key(table, slot, child[slot],
+                                           len(rels)) == key
+        kinds.add(move["move"])
+        children.append(child)
+    return kinds, children
+
+
+class TestChildKeys:
+    @given(expand_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_child_keys_equal_full_keys(self, case):
+        rels, base_gens = case
+        cfg = SearchConfig(max_total_length=40, max_depth=1,
+                           conjugator_depth=1, stabilizations=1)
+        _check_child_keys(rels, cfg, base_gens)
+
+    def test_w1_first_two_levels(self):
+        # the benchmark's W1 bounds, with one stabilization so that both
+        # kinds of generator-count change occur
+        cfg = SearchConfig(max_total_length=16, max_depth=30,
+                           conjugator_depth=2, stabilizations=1)
+        root = encode_presentation(ak_presentation(1))
+        kinds, level = _check_child_keys(root, cfg, len(root))
+        for rels in level:
+            kinds |= _check_child_keys(rels, cfg, len(root))[0]
+        assert kinds == {"invert", "conjugate", "multiply", "stabilize",
+                         "destabilize"}
 
 
 class TestTrivialForm:
