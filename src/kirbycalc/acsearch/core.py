@@ -16,6 +16,14 @@ children are generated.  An invert, conjugate or multiply child replaces
 one relator, so its key is built from the table with only that relator
 rotated afresh; a stabilize or destabilize child changes the generator
 count and is keyed in full.
+
+Only children that can be the goal or add a key are built.  A conjugation
+rotates the cyclic core of its relator, which the key quotients, so a
+conjugate child shares its parent's key: it is yielded only where it is
+the goal.  The conjugated relators c * r_j * c^-1 are built once per
+expanded node and deduplicated, since equal ones give equal products.  A
+product's length follows from the cancellation at its junction, so the
+cap is checked before the product is allocated.
 """
 
 from __future__ import annotations
@@ -122,8 +130,8 @@ def is_trivial_form(p: BalancedPresentation) -> bool:
 
 @lru_cache(maxsize=None)
 def _conjugators(n_gens: int, depth: int):
-    """Freely reduced conjugator words of length <= depth, in length-lex
-    order over the letters x0, X0, x1, X1, ..."""
+    """Freely reduced conjugator words of length <= depth, each paired with
+    its inverse, in length-lex order over the letters x0, X0, x1, X1, ..."""
     words = [b""]
     level = [b""]
     for _ in range(depth):
@@ -135,7 +143,7 @@ def _conjugators(n_gens: int, depth: int):
                 nxt.append(w + kernel.LETTERS[a])
         words.extend(nxt)
         level = nxt
-    return tuple(words)
+    return tuple((w, kernel.invert_word(w)) for w in words)
 
 
 # -- move application (symbolic, for replay) --------------------------------
@@ -181,43 +189,71 @@ def _name_moves(p: BalancedPresentation, moves) -> list[dict]:
 
 # -- expansion --------------------------------------------------------------
 
+def _conjugates(s, conjugators):
+    """Each distinct freely reduced conj * s * conj^-1, mapped to its first
+    conjugator in the order of ``conjugators``: (conj, inverse) pairs."""
+    conjugates = {}
+    for conj, inverse in conjugators:
+        conjugates.setdefault(
+            kernel.join_reduced(kernel.join_reduced(conj, s), inverse), conj)
+    return conjugates
+
+
 def _expand(rels, cfg: SearchConfig, base_gens: int):
-    """All legal single-move successors as (move, slot, child) triples, in
-    the fixed enumeration order: inversions, single-letter conjugations,
-    multiplications (conjugators in length-lex order), stabilization,
-    destabilization.  ``slot`` is the one relator index a move replaces,
-    or None when it changes the generator count.  A node is balanced, so
-    it has len(rels) generators; relators and conjugators are ``bytes``
-    words."""
+    """The single-move successors that can be the goal or add a key, as
+    (move, slot, child) triples, in the fixed enumeration order:
+    inversions, a conjugation, multiplications (conjugators in length-lex
+    order), stabilization, destabilization.  ``slot`` is the one relator
+    index a move replaces, or None when it changes the generator count.  A
+    node is balanced, so it has len(rels) generators; relators and
+    conjugators are ``bytes`` words.  ``rels`` is a non-trivial node within
+    the cap, as the search expands no other.
+
+    Children that cannot add to the search are not built:
+    - a conjugation rotates the cyclic core of its relator, which the key
+      quotients, so a conjugate child has its parent's key.  Only where it
+      is the goal (every other relator one letter, and the cyclic core of
+      this one a single letter) is it yielded, once, with the first
+      conjugator; the search keys it like any other child, and finds its
+      parent's key;
+    - r_i * t is the same word for equal conjugates t = c * r_j * c^-1, so
+      each distinct t is built once per node and kept with its first
+      conjugator;
+    - the length of r_i * t comes from the cancellation at its junction,
+      and only a product within the cap is built.
+    """
     n = len(rels)
     total = sum(len(r) for r in rels)
-    cap = cfg.max_total_length
+    room = cfg.max_total_length - total
 
     for i in range(n):
         yield {"move": "invert", "i": i}, i, \
             rels[:i] + (kernel.invert_word(rels[i]),) + rels[i + 1:]
 
-    for i in range(n):
-        rest = total - len(rels[i])
-        for conj in kernel.LETTERS[:2 * n]:
-            new = kernel.conjugate_relator(rels[i], conj)
-            if rest + len(new) <= cap:
-                yield {"move": "conjugate", "i": i, "conj": conj}, i, \
-                    rels[:i] + (new,) + rels[i + 1:]
+    longer = [i for i, r in enumerate(rels) if len(r) != 1]
+    if len(longer) == 1:
+        i = longer[0]
+        conj = kernel.LETTERS[0]
+        child = rels[:i] + (kernel.conjugate_relator(rels[i], conj),) \
+            + rels[i + 1:]
+        if kernel.is_trivial_encoded(child, n):
+            yield {"move": "conjugate", "i": i, "conj": conj}, i, child
 
     conjugators = _conjugators(n, cfg.conjugator_depth)
+    conjugates = [_conjugates(s, conjugators) for s in rels]
     for i in range(n):
-        rest = total - len(rels[i])
+        r = rels[i]
         for j in range(n):
             if i == j:
                 continue
-            for conj in conjugators:
-                new = kernel.multiply_relator(rels[i], rels[j], conj)
-                if rest + len(new) <= cap:
+            for t, conj in conjugates[j].items():
+                k = kernel.junction_cancellation(r, t)
+                if len(t) - 2 * k <= room:
                     move = {"move": "multiply", "i": i, "j": j, "conj": conj}
-                    yield move, i, rels[:i] + (new,) + rels[i + 1:]
+                    yield move, i, \
+                        rels[:i] + (r[:len(r) - k] + t[k:],) + rels[i + 1:]
 
-    if n - base_gens < cfg.stabilizations and total + 1 <= cap:
+    if n - base_gens < cfg.stabilizations and room >= 1:
         yield {"move": "stabilize"}, None, rels + (kernel.LETTERS[n << 1],)
 
     for i in range(n):

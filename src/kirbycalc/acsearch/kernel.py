@@ -58,25 +58,25 @@ def cyclic_core(word):
     return word[i:j + 1]
 
 
-def join_reduced(u, v):
-    """Freely reduced u * v for freely reduced u and v.
-
-    Only the junction can cancel, so the longest suffix of u that is the
-    inverse of a prefix of v is dropped with that prefix.
-    """
+def junction_cancellation(u, v):
+    """Letters that cancel at the junction of u * v, for freely reduced u
+    and v: the length k of the longest suffix of u that is the inverse of a
+    prefix of v.  Only the junction can cancel, so u * v reduces to
+    u[:len(u) - k] + v[k:], of length len(u) + len(v) - 2k."""
+    if not u or not v or u[-1] != v[0] ^ 1:     # most junctions
+        return 0
     n = len(u)
     m = min(n, len(v))
-    k = 0
+    k = 1
     while k < m and u[n - 1 - k] == v[k] ^ 1:
         k += 1
-    return u[:n - k] + v[k:]
+    return k
 
 
-def multiply_relator(r, s, conj):
-    """Freely reduced r * conj * s * conj^-1; r, s and conj must be freely
-    reduced."""
-    return join_reduced(r, join_reduced(join_reduced(conj, s),
-                                        invert_word(conj)))
+def join_reduced(u, v):
+    """Freely reduced u * v for freely reduced u and v."""
+    k = junction_cancellation(u, v)
+    return u[:len(u) - k] + v[k:]
 
 
 def conjugate_relator(r, conj):

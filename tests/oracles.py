@@ -8,7 +8,10 @@ against a dumb exhaustive BFS on raw presentations.  The search keys are
 checked against the plain tuple implementation the byte-level kernel
 replaced, and the coset enumerator against the list-of-rows implementation
 the flat table replaced (it borrows only the package's letter coding and
-result type).
+result type).  The successor generator the search used before it pruned
+children that cannot add a node is kept as ``ref_expand``; it borrows the
+search kernel's word primitives, which the tests check against plain free
+reduction.
 """
 
 from fractions import Fraction as F
@@ -16,6 +19,7 @@ from itertools import combinations, permutations
 from math import gcd
 from typing import Optional
 
+from kirbycalc.acsearch import kernel
 from kirbycalc.certify import CosetTable
 from kirbycalc.presentations import Presentation
 from kirbycalc.words import encode_word, letter_codes
@@ -391,6 +395,88 @@ def ref_search_key(relators, n_gens):
 
 def ref_canonical_key(relators, n_gens):
     return _ref_serialize(_ref_minimized_form(relators, n_gens, True), n_gens)
+
+
+# ---------------------------------------------------------------------------
+# search successors: every child, as generated before pruning
+# ---------------------------------------------------------------------------
+# The search's successor generator as it stood before conjugate children,
+# repeated conjugates and products over the cap were left unbuilt: every
+# legal child, each product built in full and then measured against the cap.
+
+def _ref_conjugators(n_gens, depth):
+    """Freely reduced conjugator words of length <= depth, in length-lex
+    order over the letters x0, X0, x1, X1, ..."""
+    words = [b""]
+    level = [b""]
+    for _ in range(depth):
+        nxt = []
+        for w in level:
+            for a in range(2 * n_gens):
+                if w and w[-1] == a ^ 1:
+                    continue
+                nxt.append(w + kernel.LETTERS[a])
+        words.extend(nxt)
+        level = nxt
+    return tuple(words)
+
+
+def _ref_multiply_relator(r, s, conj):
+    """Freely reduced r * conj * s * conj^-1; r, s and conj must be freely
+    reduced."""
+    return kernel.join_reduced(r, kernel.join_reduced(
+        kernel.join_reduced(conj, s), kernel.invert_word(conj)))
+
+
+def ref_expand(rels, cfg, base_gens):
+    """All legal single-move successors as (move, slot, child) triples, in
+    the fixed enumeration order: inversions, single-letter conjugations,
+    multiplications (conjugators in length-lex order), stabilization,
+    destabilization.  ``slot`` is the one relator index a move replaces,
+    or None when it changes the generator count.  A node is balanced, so
+    it has len(rels) generators; relators and conjugators are ``bytes``
+    words."""
+    n = len(rels)
+    total = sum(len(r) for r in rels)
+    cap = cfg.max_total_length
+
+    for i in range(n):
+        yield {"move": "invert", "i": i}, i, \
+            rels[:i] + (kernel.invert_word(rels[i]),) + rels[i + 1:]
+
+    for i in range(n):
+        rest = total - len(rels[i])
+        for conj in kernel.LETTERS[:2 * n]:
+            new = kernel.conjugate_relator(rels[i], conj)
+            if rest + len(new) <= cap:
+                yield {"move": "conjugate", "i": i, "conj": conj}, i, \
+                    rels[:i] + (new,) + rels[i + 1:]
+
+    conjugators = _ref_conjugators(n, cfg.conjugator_depth)
+    for i in range(n):
+        rest = total - len(rels[i])
+        for j in range(n):
+            if i == j:
+                continue
+            for conj in conjugators:
+                new = _ref_multiply_relator(rels[i], rels[j], conj)
+                if rest + len(new) <= cap:
+                    move = {"move": "multiply", "i": i, "j": j, "conj": conj}
+                    yield move, i, rels[:i] + (new,) + rels[i + 1:]
+
+    if n - base_gens < cfg.stabilizations and total + 1 <= cap:
+        yield {"move": "stabilize"}, None, rels + (kernel.LETTERS[n << 1],)
+
+    for i in range(n):
+        if len(rels[i]) != 1:
+            continue
+        sym = rels[i][0] >> 1
+        if any(k != i and any(a >> 1 == sym for a in r)
+               for k, r in enumerate(rels)):
+            continue
+        yield {"move": "destabilize", "i": i}, None, tuple(
+            bytes(a - 2 if a >> 1 > sym else a for a in r)
+            for k, r in enumerate(rels) if k != i)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kirbycalc.acsearch import (BoundsError, SearchConfig, TraceError,
                                 canonical_key, is_trivial_form, replay_trace,
                                 search)
 from kirbycalc.acsearch import kernel
-from kirbycalc.acsearch.core import _expand, _name_moves, encode_presentation
+from kirbycalc.acsearch.core import (_conjugates, _expand, _name_moves,
+                                     encode_presentation)
 from kirbycalc.pipeline import run_pipeline
 from kirbycalc.presentations import BalancedPresentation, ak_presentation
 
-from oracles import brute_force_trivializable, ref_canonical_key, ref_search_key
+from oracles import (brute_force_trivializable, ref_canonical_key, ref_expand,
+                     ref_search_key)
 
 B = BalancedPresentation
 
@@ -200,6 +202,14 @@ def join_inputs(draw):
     return r, s, c
 
 
+def _product(r, s, c):
+    """r * c * s * c^-1 as _expand builds it: the conjugate t from
+    _conjugates, then r and t cut at their junction."""
+    (t,) = _conjugates(s, ((c, kernel.invert_word(c)),))
+    k = kernel.junction_cancellation(r, t)
+    return r[:len(r) - k] + t[k:]
+
+
 class TestJoinReduced:
     """The junction-only products equal free reduction of the plain
     concatenation, for freely reduced inputs."""
@@ -210,7 +220,7 @@ class TestJoinReduced:
         r, s, c = case
         inv, red = kernel.invert_word, kernel.reduce_word
         assert kernel.join_reduced(r, s) == red(r + s)
-        assert kernel.multiply_relator(r, s, c) == red(r + c + s + inv(c))
+        assert _product(r, s, c) == red(r + c + s + inv(c))
         assert kernel.conjugate_relator(r, c) == \
             kernel.cyclic_core(red(c + r + inv(c)))
 
@@ -218,9 +228,9 @@ class TestJoinReduced:
         r, c = b"\0\2\1", b"\3\4"
         assert kernel.join_reduced(r, kernel.invert_word(r)) == b""
         s = kernel.reduce_word(kernel.invert_word(c) + kernel.invert_word(r) + c)
-        assert kernel.multiply_relator(r, s, c) == b""
+        assert _product(r, s, c) == b""
         assert kernel.conjugate_relator(b"\5\2\0\3\4", c) == b"\0"
-        assert kernel.multiply_relator(b"", b"", b"") == b""
+        assert _product(b"", b"", b"") == b""
 
 
 @st.composite
@@ -257,6 +267,12 @@ def _check_child_keys(rels, cfg, base_gens):
     return kinds, children
 
 
+# the benchmark's W1 bounds, with one stabilization so that both kinds of
+# generator-count change occur
+W1_CFG = SearchConfig(max_total_length=16, max_depth=30, conjugator_depth=2,
+                      stabilizations=1)
+
+
 class TestChildKeys:
     @given(expand_inputs())
     @settings(max_examples=60, deadline=None)
@@ -267,16 +283,90 @@ class TestChildKeys:
         _check_child_keys(rels, cfg, base_gens)
 
     def test_w1_first_two_levels(self):
-        # the benchmark's W1 bounds, with one stabilization so that both
-        # kinds of generator-count change occur
-        cfg = SearchConfig(max_total_length=16, max_depth=30,
-                           conjugator_depth=2, stabilizations=1)
         root = encode_presentation(ak_presentation(1))
-        kinds, level = _check_child_keys(root, cfg, len(root))
+        kinds, level = _check_child_keys(root, W1_CFG, len(root))
         for rels in level:
-            kinds |= _check_child_keys(rels, cfg, len(root))[0]
-        assert kinds == {"invert", "conjugate", "multiply", "stabilize",
-                         "destabilize"}
+            kinds |= _check_child_keys(rels, W1_CFG, len(root))[0]
+        # no node of these levels has a conjugate child that is the goal
+        assert kinds == {"invert", "multiply", "stabilize", "destabilize"}
+        # y x Y has cyclic core x, so conjugating it is the goal: the
+        # conjugate child is yielded, keyed like the others, and traced
+        p = B(("x", "y"), ("y x Y", "y"))
+        node = encode_presentation(p)
+        assert "conjugate" in _check_child_keys(node, W1_CFG, len(node))[0]
+        out = search(p, SearchConfig(max_total_length=4, max_depth=1))
+        assert out.status == "trivialized"
+        assert out.trace == [{"move": "conjugate", "i": 0, "conj": "x"}]
+
+    @given(expand_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_conjugate_child_has_parent_key(self, case):
+        # a conjugation only rotates the cyclic core of its relator, so
+        # _expand need not build or key conjugate children
+        rels, _ = case
+        n = len(rels)
+        table = kernel.rotation_table(rels, n)
+        key = kernel.search_key(rels, n)
+        assert key == ref_search_key(rels, n)
+        for i, r in enumerate(rels):
+            for a in kernel.LETTERS[:2 * n]:
+                child = kernel.conjugate_relator(r, a)
+                assert kernel.child_search_key(table, i, child, n) == key
+
+
+def _pruned_reference(rels, cfg, base_gens):
+    """ref_expand's children less the ones _expand does not build: conjugate
+    children that are not the goal or repeat an earlier child, and multiply
+    children that repeat an earlier one with the same i and j.  Each child
+    left out is checked to be one that cannot change the search: it repeats
+    an earlier child, or it is not the goal and has its parent's key."""
+    parent_key = kernel.search_key(rels, len(rels))
+    seen, products, kept = set(), set(), []
+    for move, slot, child in ref_expand(rels, cfg, base_gens):
+        trivial = kernel.is_trivial_encoded(child, len(child))
+        if move["move"] == "conjugate":
+            drop = child in seen or not trivial
+        elif move["move"] == "multiply":
+            product = (move["i"], move["j"], child)
+            drop = product in products
+            products.add(product)
+        else:
+            drop = False
+        if drop:
+            assert child in seen or (
+                not trivial
+                and kernel.search_key(child, len(child)) == parent_key)
+        else:
+            kept.append((move, slot, child))
+        seen.add(child)
+    return kept
+
+
+class TestPrunedExpansion:
+    """_expand yields the reference generator's children less only those
+    that repeat an earlier child or have their parent's key without being
+    the goal, in the same order, so the search's first occurrence of every
+    key and of the goal are unchanged."""
+
+    @given(expand_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pruned_reference(self, case):
+        rels, base_gens = case
+        # the search expands no trivial node: the root returns at once and
+        # a trivial child ends the search at its level
+        assume(not kernel.is_trivial_encoded(rels, len(rels)))
+        cfg = SearchConfig(max_total_length=40, max_depth=1,
+                           conjugator_depth=2, stabilizations=1)
+        assert list(_expand(rels, cfg, base_gens)) == \
+            _pruned_reference(rels, cfg, base_gens)
+
+    def test_w1_first_two_levels(self):
+        root = encode_presentation(ak_presentation(1))
+        level = [child for _, _, child in ref_expand(root, W1_CFG, len(root))]
+        for rels in [root, *level]:
+            if not kernel.is_trivial_encoded(rels, len(rels)):
+                assert list(_expand(rels, W1_CFG, len(root))) == \
+                    _pruned_reference(rels, W1_CFG, len(root))
 
 
 class TestTrivialForm:
