@@ -34,7 +34,7 @@ from typing import Optional
 
 from .. import presentations as pres
 from ..presentations import BalancedPresentation
-from ..words import Word, decode_word, encode_word, letter_codes
+from ..words import decode_word, encode_word, letter_codes
 from . import kernel
 
 
@@ -153,9 +153,9 @@ def apply_move(p: BalancedPresentation, move: dict) -> BalancedPresentation:
     if kind == "invert":
         return pres.ac_invert(p, move["i"])
     if kind == "conjugate":
-        return pres.ac_conjugate(p, move["i"], Word.from_text(move["conj"]))
+        return pres.ac_conjugate(p, move["i"], move["conj"])
     if kind == "multiply":
-        return pres.ac_multiply(p, move["i"], move["j"], Word.from_text(move["conj"]))
+        return pres.ac_multiply(p, move["i"], move["j"], move["conj"])
     if kind == "stabilize":
         return pres.stabilize(p)
     if kind == "destabilize":
@@ -174,9 +174,11 @@ def replay_trace(p: BalancedPresentation, trace) -> BalancedPresentation:
     return current
 
 
-def _name_moves(p: BalancedPresentation, moves) -> list[dict]:
+def _name_moves(p: BalancedPresentation,
+                moves) -> tuple[list[dict], BalancedPresentation]:
     """Write the encoded conjugators of a move sequence from ``p`` as word
-    text, each in the generator names in force at its step."""
+    text, each in the generator names in force at its step.  Returns the
+    named trace and the presentation it leads to."""
     trace = []
     for move in moves:
         if "conj" in move:
@@ -184,7 +186,7 @@ def _name_moves(p: BalancedPresentation, moves) -> list[dict]:
             move = {**move, "conj": conj.to_text()}
         trace.append(move)
         p = apply_move(p, move)
-    return trace
+    return trace, p
 
 
 # -- expansion --------------------------------------------------------------
@@ -278,6 +280,13 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
     exhausted / budget), the stats and the trace are deterministic for a
     fixed config and do not depend on ``cfg.workers``; a trace is validated
     by replay before it is reported.
+
+    Known defect: ``exhausted`` does not yet certify the searched bounds.
+    The dedup key quotients cyclic rotation, but a node's successors depend
+    on its stored linear words, so the first representative of a key can
+    cut off classes reachable within the bounds.  For example
+    ``<x, y | x y, x y y y x>`` with ``SearchConfig(9, 4, 1)`` reads
+    ``exhausted`` after 30 nodes, yet is trivialized by a depth-4 sequence.
     """
     if not isinstance(p, BalancedPresentation):
         raise BoundsError("search requires a balanced presentation")
@@ -340,8 +349,13 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
                 break
             moves.append(move)
             node_key = parent_key
-        trace = _name_moves(p, reversed(moves))
-        final = replay_trace(p, trace)
+        # the input passed its checks at entry, so a move that does not
+        # apply here is a fault of the search, not of its input
+        try:
+            trace, final = _name_moves(p, reversed(moves))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise AssertionError(f"search produced a move that does not "
+                                 f"apply: {exc}") from exc
         if not is_trivial_form(final):
             raise AssertionError("search produced a trace that does not replay "
                                  "to a trivial form")

@@ -83,10 +83,8 @@ def build_parser() -> _Parser:
     wi = sub.add_parser("wirtinger", help="presentations from a PD code")
     wi.add_argument("pdcode", help="PD JSON file")
     wi.add_argument("--framings", default=None,
-                    help="comma-separated framings, one per component "
-                         "(with --surgery)")
-    wi.add_argument("--surgery", action="store_true",
-                    help="emit the surgery presentation (requires --framings)")
+                    help="comma-separated framings, one per component: emit "
+                         "the surgery presentation")
 
     ki = sub.add_parser("kirby", help="framed-link model operations")
     ki_sub = ki.add_subparsers(dest="kirby_command", required=True)
@@ -149,16 +147,14 @@ def _parse_framings(text: str) -> list[int]:
 
 
 def _cmd_wirtinger(args) -> int:
-    if args.surgery != (args.framings is not None):
-        raise SystemExit("error: --surgery and --framings go together")
     pd = wirtinger.PDCode.from_json(_load_json(args.pdcode))
-    if args.surgery:
+    if args.framings is None:
+        _emit(wirtinger.wirtinger_presentation(pd).to_json())
+    else:
         sp = wirtinger.surgery_presentation(pd, _parse_framings(args.framings))
         data = sp.to_json()
         data["abelianization"] = sp.abelianization().to_json()
         _emit(data)
-    else:
-        _emit(wirtinger.wirtinger_presentation(pd).to_json())
     return 0
 
 

@@ -15,7 +15,7 @@ import time
 
 from . import acsearch
 from .acsearch import SearchConfig
-from .certify import certification_report
+from .certify import AbelianGroup, certification_report
 from .framedlinks import zero_model
 from .presentations import ak_presentation
 from .slopes import enumerate_candidates
@@ -43,6 +43,8 @@ def run_pipeline(n: int, w: str = "y x",
     """Produce the full JSON-ready report for family member n.  ``search``
     holds default_search_config keywords; the rest keep its defaults."""
     start = time.perf_counter()
+    # slopes first, so a bad max_q is refused before certify and search run
+    slopes = [str(s) for s in enumerate_candidates(max_q)]
     p = ak_presentation(n, w)
     search_cfg = default_search_config(p, **search)
 
@@ -60,8 +62,7 @@ def run_pipeline(n: int, w: str = "y x",
         "abelianization": cert["abelianization"],
         "coset": cert["coset"],
         "search": {"config": search_cfg.to_json(), **outcome.to_json()},
-        "candidate_slopes": {"max_q": max_q,
-                             "slopes": [str(s) for s in enumerate_candidates(max_q)]},
+        "candidate_slopes": {"max_q": max_q, "slopes": slopes},
         "caveat": CAVEAT,
         "meta": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                  "elapsed_seconds": round(time.perf_counter() - start, 3),
@@ -80,9 +81,8 @@ def summarize(report: dict) -> str:
                  "(not derived from n and w): "
                  + ("passes" if gpr["passes"] else "FAILS"))
     ab = report["abelianization"]
-    h1 = "trivial" if ab["rank"] == 0 and not ab["torsion"] else \
-        f"rank {ab['rank']}, torsion {ab['torsion']}"
-    lines.append(f"abelianization: {h1}")
+    lines.append(f"abelianization: "
+                 f"{AbelianGroup(ab['rank'], tuple(ab['torsion']))}")
     coset = report["coset"]
     if coset["status"] == "closed":
         lines.append(f"coset enumeration: closed, group order {coset['order']} "

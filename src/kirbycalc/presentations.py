@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .words import IDENTITY, Word, check_symbols, cyclic_reduce
+from .words import (IDENTITY, Word, check_symbols, cyclic_reduce,
+                    is_generator_name)
 
 
 class MoveError(ValueError):
@@ -38,16 +39,6 @@ def _as_word(value) -> Word:
     return Word(letters)
 
 
-def _check_generator(name) -> None:
-    """Generator names must be single tokens of the word syntax: a lowercase
-    first letter, since the uppercased token names the inverse."""
-    if not (isinstance(name, str) and name.split() == [name]
-            and name[0].isalpha() and name[0].islower()):
-        raise PresentationError(
-            f"bad generator name {name!r}: generator names are single tokens "
-            "that start with a lowercase letter")
-
-
 class Presentation:
     """Generators plus relator words, not necessarily balanced."""
 
@@ -56,14 +47,12 @@ class Presentation:
     def __init__(self, generators: Iterable[str], relators: Iterable = ()):
         gens = tuple(generators)
         for g in gens:
-            _check_generator(g)
+            if not is_generator_name(g):
+                raise PresentationError(
+                    f"bad generator name {g!r}: generator names are single "
+                    "tokens that start with a lowercase letter")
         if len(set(gens)) != len(gens):
             raise PresentationError(f"duplicate generators in {gens}")
-        self._set(gens, relators)
-
-    def _set(self, gens: tuple, relators: Iterable) -> None:
-        """Store checked generator names and relators whose symbols must be
-        among them."""
         rels = tuple(_as_word(r) for r in relators)
         check_symbols(rels, gens)
         object.__setattr__(self, "generators", gens)
@@ -73,13 +62,8 @@ class Presentation:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def replace(self, generators=None, relators=None):
-        if generators is not None:
-            return type(self)(generators,
-                              self.relators if relators is None else relators)
-        # the generator names passed their checks when self was built
-        new = object.__new__(type(self))
-        new._set(self.generators, self.relators if relators is None else relators)
-        return new
+        return type(self)(self.generators if generators is None else generators,
+                          self.relators if relators is None else relators)
 
     def total_relator_length(self) -> int:
         return sum(len(r) for r in self.relators)
@@ -122,8 +106,8 @@ class BalancedPresentation(Presentation):
 
     __slots__ = ()
 
-    def _set(self, gens: tuple, relators: Iterable) -> None:
-        super()._set(gens, relators)
+    def __init__(self, generators: Iterable[str], relators: Iterable = ()):
+        super().__init__(generators, relators)
         if len(self.relators) != len(self.generators):
             raise PresentationError(
                 f"unbalanced: {len(self.generators)} generators, "
@@ -207,7 +191,7 @@ def ak_presentation(n: int, w="y x") -> BalancedPresentation:
     """The two-generator family <x, y | y = w^-1 x w, x^(n+1) = y^n>.
 
     ``w`` is any nonempty word in x, y; the n-th member stores the relators
-    as reduce(Y w^-1 x w) and reduce(x^(n+1) Y^n).
+    as the free reductions of Y w^-1 x w and x^(n+1) Y^n.
     """
     if n < 0:
         raise ValueError(f"family index must be >= 0, got {n}")

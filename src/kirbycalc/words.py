@@ -35,6 +35,14 @@ def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(stack)
 
 
+def is_generator_name(name) -> bool:
+    """Whether ``name`` is a generator name of the token syntax: a single
+    token with a lowercase first letter, since the uppercased token names
+    the inverse."""
+    return (isinstance(name, str) and name.split() == [name]
+            and name[0].isalpha() and name[0].islower())
+
+
 class Word:
     """An immutable, freely reduced word.
 
@@ -60,7 +68,7 @@ class Word:
             else:
                 sym = token
                 sign = 1
-            if not (sym[0].isalpha() and sym[0].islower()):
+            if not is_generator_name(sym):
                 raise WordSyntaxError(f"bad token {token!r}: generator names start "
                                       "with a lowercase letter")
             letters.append((sym, sign))
@@ -114,22 +122,6 @@ class Word:
 IDENTITY = Word()
 
 
-def reduce(letters, generators=None) -> Word:
-    """Freely reduce a raw letter sequence (or word text) to a Word.
-
-    With ``generators`` given, symbols outside that set are rejected.
-    """
-    if isinstance(letters, str):
-        word = Word.from_text(letters)
-    elif isinstance(letters, Word):
-        word = letters
-    else:
-        word = Word(letters)
-    if generators is not None:
-        check_symbols((word,), generators)
-    return word
-
-
 def check_symbols(words: Iterable[Word], generators) -> None:
     """Reject the first symbol, in letter order, that is not one of
     ``generators``, so the error names the same symbol on every run."""
@@ -170,10 +162,3 @@ def encode_word(word: Word, codes: dict[Letter, int]) -> tuple[int, ...]:
 def decode_word(code, generators) -> Word:
     """Inverse of the coding given by ``letter_codes(generators)``."""
     return Word([(generators[a >> 1], -1 if a & 1 else 1) for a in code])
-
-
-def is_cyclically_reduced(w: Word) -> bool:
-    if len(w) < 2:
-        return True
-    first, last = w.letters[0], w.letters[-1]
-    return not (first[0] == last[0] and first[1] == -last[1])

@@ -517,9 +517,9 @@ class TestPinnedSearch:
                  {"move": "destabilize", "i": 0},
                  {"move": "multiply", "i": 1, "j": 0, "conj": (2,)}]
         p = B(("x", "y"), ("x", "y"))
-        trace = _name_moves(p, moves)
+        trace, final = _name_moves(p, moves)
         assert [m.get("conj") for m in trace] == [None, "g", None, "g"]
-        assert replay_trace(p, trace) == B(("y", "g"), ("y", "g g y G"))
+        assert final == replay_trace(p, trace) == B(("y", "g"), ("y", "g g y G"))
 
 
 class TestReplay:

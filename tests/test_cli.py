@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from kirbycalc import framedlinks
+from kirbycalc import framedlinks, pipeline
+from kirbycalc.acsearch import core
 from kirbycalc.cli import main
 from kirbycalc.pipeline import run_pipeline
+from kirbycalc.slopes import SlopeError
 from kirbycalc.wirtinger import hopf_link_pd, trefoil_pd, unknot_pd
 
 
@@ -133,6 +135,21 @@ class TestAcSearch:
                            "--max-total-length", "6", "--max-depth", "1")
         assert code == 1 and "unbalanced" in err
 
+    def test_trace_that_does_not_apply_is_internal(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # the input is valid, so a goal move that does not apply is the
+        # search's own fault: exit 2, not a bad-input exit 1
+        def bogus_expand(rels, cfg, base_gens):
+            yield {"move": "invert", "i": 7}, None, (b"\x00", b"\x02")
+
+        monkeypatch.setattr(core, "_expand", bogus_expand)
+        path = write(tmp_path, "p.json",
+                     {"generators": ["x", "y"], "relators": ["x y", "y"]})
+        code, out, err = run(capsys, "ac-search", path)
+        assert code == 2 and out == ""
+        assert err.startswith("internal invariant violation:")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("data", [
         {"generators": ["x", "y"], "relators": [5, "y"]},
         {"generators": ["x", ""], "relators": ["x", "x"]},
@@ -210,8 +227,7 @@ class TestWirtinger:
     def test_surgery_output(self, capsys, tmp_path):
         pd = write(tmp_path, "unknot.json", {"crossings": [],
                                              "components": [[1]]})
-        code, out, _ = run(capsys, "wirtinger", pd, "--framings", "0",
-                           "--surgery")
+        code, out, _ = run(capsys, "wirtinger", pd, "--framings", "0")
         assert code == 0
         data = json.loads(out)
         assert data["abelianization"] == {"rank": 1, "torsion": []}
@@ -222,17 +238,12 @@ class TestWirtinger:
         assert code == 1 and err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_surgery_requires_framings(self, capsys, tmp_path):
-        pd = write(tmp_path, "unknot.json", {"crossings": [],
-                                             "components": [[1]]})
-        code, _, err = run(capsys, "wirtinger", pd, "--surgery")
-        assert code == 1 and "--framings" in err
-
-    def test_framings_require_surgery(self, capsys, tmp_path):
+    def test_framings_count_must_match_components(self, capsys, tmp_path):
         pd = write(tmp_path, "unknot.json", {"crossings": [],
                                              "components": [[1]]})
         code, out, err = run(capsys, "wirtinger", pd, "--framings", "0,0")
-        assert code == 1 and "--surgery" in err and out == ""
+        assert code == 1 and err.startswith("error:") and out == ""
+        assert "Traceback" not in err
 
 
 class TestPipeline:
@@ -249,6 +260,7 @@ class TestPipeline:
             "assumed_model": framedlinks.zero_model(2).to_json(),
             "passes": True, "nonzero_entries": []}
         assert "hypothesis on the assumed 2-component model" in err
+        assert "abelianization: trivial" in err
 
     def test_n1_certifies_trivial_group(self, capsys):
         code, out, _ = run(capsys, "pipeline", "--n", "1")
@@ -292,6 +304,14 @@ class TestPipeline:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "pipeline")
         assert code == 1
+
+    def test_bad_max_q_refused_before_any_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "certification_report",
+                            lambda *args: calls.append(args))
+        with pytest.raises(SlopeError):
+            run_pipeline(200, max_q=-1)
+        assert calls == []
 
 
 # -- fuzzing ------------------------------------------------------------------
@@ -423,5 +443,4 @@ class TestFuzz:
     def test_wirtinger_exit_codes(self, capsys, tmp_path, pd, framings):
         path = write(tmp_path, "pd.json", pd)
         _keeps_contract(capsys, "wirtinger", path)
-        _keeps_contract(capsys, "wirtinger", path, "--surgery",
-                        f"--framings={framings}")
+        _keeps_contract(capsys, "wirtinger", path, f"--framings={framings}")

@@ -2,41 +2,42 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kirbycalc.words import (IDENTITY, UnknownGeneratorError, Word,
-                             WordSyntaxError, cyclic_reduce, decode_word,
-                             encode_word, is_cyclically_reduced, letter_codes,
-                             reduce)
+                             WordSyntaxError, check_symbols, cyclic_reduce,
+                             decode_word, encode_word, is_generator_name,
+                             letter_codes)
 
 letters = st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from((1, -1))),
                    max_size=30)
 
 
 def test_reduce_examples():
-    assert reduce("x X") == IDENTITY
-    assert reduce("x y Y x").to_text() == "x x"
-    assert reduce("y X Y x y x").to_text() == "y X Y x y x"
+    assert Word.from_text("x X") == IDENTITY
+    assert Word.from_text("x y Y x").to_text() == "x x"
+    assert Word.from_text("y X Y x y x").to_text() == "y X Y x y x"
+    assert Word([("x", 1), ("y", 1), ("y", -1), ("x", 1)]).to_text() == "x x"
 
 
 def test_reduce_rejects_unknown_symbols():
     with pytest.raises(UnknownGeneratorError) as err:
-        reduce("x z", generators=("x", "y"))
+        check_symbols((Word.from_text("x z"),), ("x", "y"))
     assert err.value.symbol == "z"
-    assert reduce("x y", generators=("x", "y")).to_text() == "x y"
+    check_symbols((Word.from_text("x y"),), ("x", "y"))
     # several unknown symbols: the first in letter order is named
     with pytest.raises(UnknownGeneratorError) as err:
-        reduce("p q r", generators=("x",))
+        check_symbols((Word.from_text("x"), Word.from_text("p q r")), ("x",))
     assert err.value.symbol == "p"
 
 
 @given(letters)
 def test_reduce_idempotent_and_nonincreasing(raw):
-    once = reduce(raw)
-    assert reduce(once.letters) == once
+    once = Word(raw)
+    assert Word(once.letters) == once
     assert len(once) <= len(raw)
 
 
 @given(letters)
 def test_no_adjacent_inverse_pairs(raw):
-    w = reduce(raw)
+    w = Word(raw)
     for a, b in zip(w.letters, w.letters[1:]):
         assert not (a[0] == b[0] and a[1] == -b[1])
 
@@ -51,9 +52,12 @@ def test_cyclic_reduce_examples():
 
 @given(letters)
 def test_cyclic_reduce_conjugation_identity(raw):
-    w = reduce(raw)
+    w = Word(raw)
     core, conj = cyclic_reduce(w)
-    assert is_cyclically_reduced(core)
+    # the core is cyclically reduced: its ends are not inverse letters
+    if len(core) > 1:
+        (first, a), (last, b) = core.letters[0], core.letters[-1]
+        assert not (first == last and a == -b)
     assert conj * core * conj.inverse() == w
 
 
@@ -72,6 +76,9 @@ def test_token_syntax():
     assert Word.from_text("Y").letters == (("y", -1),)
     with pytest.raises(WordSyntaxError):
         Word.from_text("1x")
+    assert is_generator_name("g2")
+    for name in ("G2", "2g", "", "g h", 3):
+        assert not is_generator_name(name)
 
 
 def test_words_hashable_and_immutable():
@@ -91,7 +98,7 @@ def test_letter_codes():
 @given(letters)
 def test_letter_coding_round_trips(raw):
     gens = ("x", "y", "z")
-    w = reduce(raw)
+    w = Word(raw)
     code = encode_word(w, letter_codes(gens))
     assert decode_word(code, gens) == w
     # xor 1 inverts a code
