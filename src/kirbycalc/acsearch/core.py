@@ -164,12 +164,14 @@ def apply_move(p: BalancedPresentation, move: dict) -> BalancedPresentation:
 
 
 def replay_trace(p: BalancedPresentation, trace) -> BalancedPresentation:
-    """Apply a move sequence, failing with the offending step index."""
+    """Apply a move sequence, failing with the offending step index.  Every
+    input error of a move (a bad index, kind or conjugator; the package's
+    input errors are ValueErrors) is reported as a TraceError."""
     current = p
     for step, move in enumerate(trace):
         try:
             current = apply_move(current, move)
-        except (pres.MoveError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise TraceError(step, str(exc)) from exc
     return current
 

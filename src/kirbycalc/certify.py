@@ -2,17 +2,20 @@
 
 Everything here runs on arbitrary-precision integers; no floating point.
 Smith normal form feeds abelianization checks, and a relator-driven coset
-enumerator (with an independent post-hoc verification pass) certifies finite
-group orders, in particular order 1 for presentations of the trivial group.
+enumerator (with an independent post-hoc verification pass) counts the
+cosets of a subgroup given by generating words.  Over the trivial subgroup
+that certifies a finite group order.  Order 1 is certified more cheaply: if
+the first generator x has index 1, the group is the cyclic group <x>, hence
+equal to its abelianization, so a trivial abelianization makes it trivial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .presentations import Presentation
-from .words import encode_word, letter_codes
+from .words import Word, encode_word, letter_codes
 
 
 class MatrixError(ValueError):
@@ -255,12 +258,17 @@ def abelianization(p: Presentation) -> AbelianGroup:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Result of a coset enumeration over the trivial subgroup.
+    """Result of a coset enumeration over the subgroup generated by the
+    words ``subgroup`` (the trivial subgroup when there are none).
 
     ``status`` is "closed" or "budget".  A closed table has one row per live
-    coset and one column per generator letter (x0, X0, x1, X1, ...), and
-    ``order`` equals the group order.  ``defined`` counts every coset ever
-    defined, including those later merged away.
+    coset, coset 0 being the subgroup itself, and one column per generator
+    letter (x0, X0, x1, X1, ...); ``index`` is its number of rows.  ``order``
+    is the group order, set only for a closed table over the trivial
+    subgroup.  ``defined`` counts every coset ever defined, including those
+    later merged away; ``coincidences`` counts the primary coincidences
+    (a relator or subgroup word that closed on two distinct cosets), and
+    ``peak_live`` is the largest number of live cosets at any time.
     """
 
     status: str
@@ -269,23 +277,39 @@ class CosetTable:
     order: Optional[int]
     live: int
     defined: int
+    subgroup: tuple[Word, ...] = ()
+    coincidences: int = field(default=0, compare=False)
+    peak_live: int = field(default=0, compare=False)
 
     def closed(self) -> bool:
         return self.status == "closed"
 
+    @property
+    def index(self) -> Optional[int]:
+        return self.live if self.closed() else None
+
     def to_json(self) -> dict:
-        data = {"status": self.status, "live": self.live, "defined": self.defined}
+        data = {"status": self.status, "live": self.live, "defined": self.defined,
+                "subgroup": [w.to_text() for w in self.subgroup],
+                "coincidences": self.coincidences, "peak_live": self.peak_live}
+        if self.closed():
+            data["index"] = self.index
         if self.order is not None:
             data["order"] = self.order
         return data
 
 
-def todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
-    """Enumerate cosets of the trivial subgroup of the presented group.
+def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
+                 subgroup=()) -> CosetTable:
+    """Enumerate the cosets of the subgroup generated by the words
+    ``subgroup`` (word text or Words in the generators of ``p``; none gives
+    the trivial subgroup).
 
-    Relator-driven (HLT) strategy: process live cosets in definition order,
-    scan every relator through each, filling gaps by defining new cosets, then
-    complete the row.  Deterministic for a fixed presentation and budget.
+    Relator-driven (HLT) strategy (Holt-Eick-O'Brien, Handbook of
+    Computational Group Theory, ch. 5): first scan every subgroup word at
+    coset 0, then process live cosets in definition order, scan every
+    relator through each, filling gaps by defining new cosets, and complete
+    the row.  Deterministic for a fixed presentation, subgroup and budget.
     Budget exhaustion is reported as status "budget", never an error.
 
     The table is one flat list: entry ``c * width + x`` is the coset reached
@@ -300,16 +324,28 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
     gens = p.generators
     codes = letter_codes(gens)
     width = 2 * len(gens)
-    # each nonempty relator with the inverse letters its backward scan reads
-    scans = []
-    for r in p.relators:
-        path = encode_word(r, codes)
-        if path:
-            scans.append((path, tuple(x ^ 1 for x in path), len(path) - 1))
+    # subgroup words are checked and coerced as relators are
+    subgroup = Presentation(gens, subgroup).relators
+
+    def scans_of(words):
+        """Each nonempty word with the inverse letters its backward scan
+        reads."""
+        out = []
+        for w in words:
+            path = encode_word(w, codes)
+            if path:
+                out.append((path, tuple(x ^ 1 for x in path), len(path) - 1))
+        return out
+
+    scans = scans_of(p.relators)
+    subgroup_scans = scans_of(subgroup)
 
     blank = [-1] * width
     table = list(blank)
     rep = [0]                       # union-find over coset numbers
+    # Live cosets only grow between coincidences, so their peak is read
+    # at each coincidence and at the end.
+    coincidences = dead = peak_live = 0
 
     def define(alpha: int, x: int) -> int:
         """New coset alpha.x, or -1 when the budget is spent."""
@@ -329,6 +365,9 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
 
     def coincidence(alpha: int, beta: int) -> None:
         """Merge two live cosets and every coincidence that follows."""
+        nonlocal coincidences, dead, peak_live
+        coincidences += 1
+        peak_live = max(peak_live, len(rep) - dead)
         if alpha > beta:
             alpha, beta = beta, alpha
         rep[beta] = alpha
@@ -367,14 +406,18 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
                         u, v = v, u
                     rep[v] = u
                     queue.append(v)
+        dead += len(queue)
 
     exhausted = False
     alpha = 0
+    # coset 0, the subgroup, is never merged away; its subgroup words
+    # return to it, so they are scanned there like relators, before them
+    pending = subgroup_scans + scans
     while alpha < len(rep) and not exhausted:
         if rep[alpha] != alpha:
             alpha += 1
             continue
-        for path, inv, last in scans:
+        for path, inv, last in pending:
             # trace the relator forward from alpha and backward to it
             f, i = alpha, 0
             b, j = alpha, last
@@ -412,25 +455,30 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
                 if table[row + x] < 0 and define(alpha, x) < 0:
                     exhausted = True
                     break
+        pending = scans
         alpha += 1
 
     live_ids = [c for c in range(len(rep)) if rep[c] == c]
     defined = len(rep)
+    live = len(live_ids)
+    counts = dict(subgroup=subgroup, coincidences=coincidences,
+                  peak_live=max(peak_live, live))
     if exhausted:
-        return CosetTable("budget", gens, (), None, len(live_ids), defined)
+        return CosetTable("budget", gens, (), None, live, defined, **counts)
 
     renumber = {c: k for k, c in enumerate(live_ids)}
     compact = tuple(
         tuple(renumber[find(table[c * width + x])] for x in range(width))
         for c in live_ids)
-    order = len(live_ids)
-    return CosetTable("closed", gens, compact, order, order, defined)
+    # over a trivial subgroup the index is the group order
+    order = None if subgroup_scans else live
+    return CosetTable("closed", gens, compact, order, live, defined, **counts)
 
 
 def verify_coset_table(result: CosetTable, p: Presentation) -> bool:
     """Independent check of a closed table: inverse-consistency, columns are
-    permutations, all cosets reachable from 0, and every relator traces to
-    the identity at every coset."""
+    permutations, all cosets reachable from 0, every relator traces to the
+    identity at every coset, and every subgroup word fixes coset 0."""
     if not result.closed():
         raise ValueError("only closed tables can be verified")
     table = result.table
@@ -455,25 +503,43 @@ def verify_coset_table(result: CosetTable, p: Presentation) -> bool:
                 stack.append(d)
     if len(seen) != n:
         return False
-    for r in p.relators:
-        path = encode_word(r, codes)
-        for c in range(n):
-            d = c
-            for x in path:
-                d = table[d][x]
-            if d != c:
-                return False
+    for words, starts in ((p.relators, range(n)), (result.subgroup, (0,))):
+        for w in words:
+            path = encode_word(w, codes)
+            for c in starts:
+                d = c
+                for x in path:
+                    d = table[d][x]
+                if d != c:
+                    return False
     return True
 
 
 def certification_report(p: Presentation, max_cosets: int = 100_000) -> dict:
-    """Abelianization plus coset-enumeration status, as a JSON-ready dict."""
-    coset = todd_coxeter(p, max_cosets)
+    """Abelianization plus coset-enumeration status, as a JSON-ready dict.
+
+    When the abelianization is trivial, the cosets of <x>, x the first
+    generator, are enumerated first.  Index 1 makes the group cyclic, so
+    equal to its trivial abelianization: the report reads order 1 over that
+    subgroup.  Every other outcome (index above 1, budget, or a nontrivial
+    abelianization) enumerates the cosets of the trivial subgroup, whose
+    index is the order.  The order of a perfect group is thus never read
+    off the index of <x>.
+    """
+    abel = abelianization(p)
+    coset = None
+    if abel.is_trivial() and p.generators:
+        coset = todd_coxeter(p, max_cosets, subgroup=p.generators[:1])
+    if coset is None or coset.index != 1:
+        coset = todd_coxeter(p, max_cosets)
     report = {
         "presentation": p.to_json(),
-        "abelianization": abelianization(p).to_json(),
+        "abelianization": abel.to_json(),
         "coset": coset.to_json(),
     }
     if coset.closed():
         report["coset"]["verified"] = verify_coset_table(coset, p)
+    if coset.subgroup:
+        # index 1: the group is cyclic, so it is its trivial abelianization
+        report["coset"]["order"] = 1
     return report

@@ -3,10 +3,10 @@
 Ties the pieces together: build the presentation, check the zero-linking
 hypothesis on an assumed 2-component model (the 0-framed unlink, not derived
 from n and w; the report labels it so), certify the group
-(abelianization plus coset enumeration), run the bounded trivialization
-search, and list candidate partner slopes.  The search can only ever
-certify facts relative to its bounds; the fixed caveat below rides along in
-every report.
+(abelianization plus coset enumeration, over <x> when the abelianization is
+trivial), run the bounded trivialization search, and list candidate partner
+slopes.  The search can only ever certify facts relative to its bounds; the
+fixed caveat below rides along in every report.
 """
 
 from __future__ import annotations
@@ -84,10 +84,15 @@ def summarize(report: dict) -> str:
     lines.append(f"abelianization: "
                  f"{AbelianGroup(ab['rank'], tuple(ab['torsion']))}")
     coset = report["coset"]
-    if coset["status"] == "closed":
+    done = (f"({coset['defined']} cosets defined, "
+            f"verified={coset.get('verified')})")
+    if coset["status"] == "closed" and coset["subgroup"]:
+        lines.append(f"coset enumeration: closed over "
+                     f"⟨{', '.join(coset['subgroup'])}⟩, index "
+                     f"{coset['index']}: trivial {done}")
+    elif coset["status"] == "closed":
         lines.append(f"coset enumeration: closed, group order {coset['order']} "
-                     f"({coset['defined']} cosets defined, "
-                     f"verified={coset.get('verified')})")
+                     + done)
     else:
         lines.append(f"coset enumeration: budget exhausted "
                      f"({coset['live']} live / {coset['defined']} defined)")

@@ -131,6 +131,14 @@ class PDCode:
                 parent[max(a, b)] = min(a, b)
         return {e: find(e) for e in parent}
 
+    def mirror(self) -> "PDCode":
+        """The mirror image: every crossing changed.  The old over-strand
+        becomes the under-strand, so each edge tuple is rotated to start at
+        the old incoming over-edge, and every sign flips."""
+        return PDCode([Crossing(x.arcs[1:] + x.arcs[:1] if x.sign > 0
+                                else x.arcs[3:] + x.arcs[:3], -x.sign)
+                       for x in self.crossings], self.components)
+
     # -- linking data ----------------------------------------------------------
 
     def writhe(self, component: int) -> int:
@@ -259,6 +267,36 @@ def surgery_presentation(pd: PDCode, framings: Sequence[int]) -> SurgeryPresenta
     return SurgeryPresentation(full, meridians, longitudes, tuple(framings))
 
 
+def connected_sum(a: PDCode, b: PDCode) -> PDCode:
+    """Connected sum of two oriented knot diagrams, cut at the first listed
+    edge e of ``a`` and f of ``b`` (``b``'s labels are shifted past
+    ``a``'s): the strand arriving along e goes on into ``b`` where f did,
+    and the strand arriving along f goes on into ``a`` where e did."""
+    for pd in (a, b):
+        if len(pd.components) != 1:
+            raise PDCodeError(f"connected_sum joins two knots, got a "
+                              f"{len(pd.components)}-component link")
+    if not b.crossings:
+        return a
+    if not a.crossings:
+        return b
+    shift = max(a.components[0]) - min(b.components[0]) + 1
+    e, f = a.components[0][0], b.components[0][0] + shift
+
+    def rejoin(x: Crossing, offset: int, old: int, new: int) -> Crossing:
+        # only the position where ``old`` comes in changes
+        incoming = (0, 1 if x.sign > 0 else 3)
+        return Crossing(tuple(new if k in incoming and label + offset == old
+                              else label + offset
+                              for k, label in enumerate(x.arcs)), x.sign)
+
+    crossings = ([rejoin(x, 0, e, f) for x in a.crossings]
+                 + [rejoin(x, shift, f, e) for x in b.crossings])
+    rest_a = list(a.components[0][1:])
+    rest_b = [label + shift for label in b.components[0][1:]]
+    return PDCode(crossings, [[e] + rest_b + [f] + rest_a])
+
+
 # -- standard small diagrams --------------------------------------------------
 
 def unknot_pd() -> PDCode:
@@ -274,3 +312,14 @@ def trefoil_pd() -> PDCode:
     """Right-handed trefoil, writhe +3."""
     return PDCode([((1, 4, 2, 5), 1), ((5, 2, 6, 3), 1), ((3, 6, 4, 1), 1)],
                   [[1, 2, 3, 4, 5, 6]])
+
+
+def square_knot_pd() -> PDCode:
+    """Square knot: the right-handed trefoil summed with its mirror,
+    writhe 0."""
+    return connected_sum(trefoil_pd(), trefoil_pd().mirror())
+
+
+def granny_knot_pd() -> PDCode:
+    """Granny knot: two right-handed trefoils summed, writhe +6."""
+    return connected_sum(trefoil_pd(), trefoil_pd())

@@ -538,6 +538,14 @@ class TestReplay:
         with pytest.raises(TraceError):
             replay_trace(B(("x",), ("x",)), [{"move": "frobnicate"}])
 
+    @pytest.mark.parametrize("conj", [5, "1x"], ids=["not-a-word", "bad-token"])
+    def test_bad_conjugator_is_reported_with_index(self, conj):
+        p = B(("x",), ("x",))
+        with pytest.raises(TraceError) as err:
+            replay_trace(p, [{"move": "invert", "i": 0},
+                             {"move": "conjugate", "i": 0, "conj": conj}])
+        assert err.value.step == 1
+
 
 class TestOrbitAgreement:
     """Key equality must match the declared equivalence exactly, checked by

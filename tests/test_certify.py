@@ -1,16 +1,17 @@
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kirbycalc.certify import (AbelianGroup, IntegerMatrix, MatrixError,
                                abelianization, certification_report, exponent_matrix,
                                h1_from_matrix, smith_normal_form,
                                todd_coxeter, verify_coset_table)
 from kirbycalc.presentations import (BalancedPresentation, Presentation,
-                                     ac_conjugate, ac_invert, ac_multiply,
-                                     ak_presentation)
-from kirbycalc.words import Word
+                                     PresentationError, ac_conjugate,
+                                     ac_invert, ac_multiply, ak_presentation)
+from kirbycalc.words import UnknownGeneratorError, Word
 
 from oracles import invariant_factors, ref_todd_coxeter
 
@@ -199,6 +200,155 @@ class TestToddCoxeterAgainstReference:
             for w in ("y x", "Y X"):
                 table = _same_as_reference(ak_presentation(n, w), 50_000)
                 assert table.closed() and table.order == 1
+
+
+def _cycle_length(table, x):
+    """Length of the cycle of letter column ``x`` through coset 0."""
+    c, k = table.table[0][x], 1
+    while c != 0:
+        c, k = table.table[c][x], k + 1
+    return k
+
+
+# <s, t | (st)^2 = s^3 = t^5>: perfect, of order 120, and <s> has index 20
+BINARY_ICOSAHEDRAL = Presentation(("s", "t"), ("s t s t S S S", "s s s T T T T T"))
+
+
+class TestSubgroupEnumeration:
+    @pytest.mark.parametrize("name", ["S3", "Q8", "A5"])
+    def test_index_times_cyclic_order_is_the_order(self, name):
+        p, order = FINITE_GROUPS[name]
+        regular = todd_coxeter(p, 10_000)
+        for k, g in enumerate(p.generators):
+            over = todd_coxeter(p, 10_000, subgroup=(g,))
+            assert over.closed() and over.order is None
+            assert over.index * _cycle_length(regular, 2 * k) == order
+            assert over.subgroup == (Word.from_text(g),)
+            assert verify_coset_table(over, p)
+
+    def test_whole_group_has_index_one(self):
+        p, _ = FINITE_GROUPS["A5"]
+        table = todd_coxeter(p, 1000, subgroup=p.generators)
+        assert table.index == 1 and table.order is None
+
+    def test_verify_checks_the_subgroup_fixes_coset_0(self):
+        p, _ = FINITE_GROUPS["S3"]
+        over_x = todd_coxeter(p, 1000, subgroup=("x",))
+        assert over_x.index == 3 and verify_coset_table(over_x, p)
+        wrong = dataclasses.replace(over_x, subgroup=(Word.from_text("y"),))
+        assert not verify_coset_table(wrong, p)
+
+    def test_subgroup_words_are_checked(self):
+        p, _ = FINITE_GROUPS["S3"]
+        with pytest.raises(UnknownGeneratorError):
+            todd_coxeter(p, 1000, subgroup=("z",))
+        with pytest.raises(PresentationError):
+            todd_coxeter(p, 1000, subgroup=(5,))
+
+    def test_budget_over_a_subgroup(self):
+        p = Presentation(("x", "y"), ("x",))     # presents Z = <y>
+        table = todd_coxeter(p, 50, subgroup=("x",))
+        assert table.status == "budget" and table.index is None
+
+    def test_family_over_x_closes_at_index_one(self):
+        for n in (0, 1, 5, 20):
+            for w in ("y x", "Y X"):
+                p = ak_presentation(n, w)
+                table = todd_coxeter(p, 50_000, subgroup=("x",))
+                assert table.index == 1 and verify_coset_table(table, p)
+                assert table.defined < todd_coxeter(p, 50_000).defined
+
+
+class TestEnumerationCounts:
+    """coincidences and peak_live are read at each coincidence and at the
+    end; they are bounded by the other counts and fixed by the input."""
+
+    @pytest.mark.parametrize("name", sorted(FINITE_GROUPS))
+    def test_bounds(self, name):
+        p, _ = FINITE_GROUPS[name]
+        for subgroup in ((), p.generators[:1]):
+            table = todd_coxeter(p, 10_000, subgroup=subgroup)
+            # a coset dies only in a coincidence
+            assert (table.coincidences == 0) == (table.defined == table.live)
+            assert table.live <= table.peak_live <= table.defined
+            again = todd_coxeter(p, 10_000, subgroup=subgroup)
+            assert ((again.coincidences, again.peak_live)
+                    == (table.coincidences, table.peak_live))
+
+    def test_no_coincidence_keeps_every_coset_live(self):
+        table = todd_coxeter(Presentation(("x",), ("x x x",)), 100)
+        assert table.coincidences == 0
+        assert table.peak_live == table.defined == table.live == 3
+
+    def test_budget_table_reports_its_peak(self):
+        table = todd_coxeter(Presentation(("x", "y"), ("y",)), 50)
+        assert table.peak_live >= table.live and table.peak_live <= 50
+
+    def test_to_json(self):
+        data = todd_coxeter(Presentation(("x",), ("x x x",)), 100).to_json()
+        assert data == {"status": "closed", "live": 3, "defined": 3,
+                        "subgroup": [], "coincidences": 0, "peak_live": 3,
+                        "index": 3, "order": 3}
+
+
+@st.composite
+def two_generator_presentations(draw):
+    """Two generators, often with power relators, so that many groups are
+    finite and both enumerations close."""
+    letters = ("x", "y", "X", "Y")
+    rels = [" ".join(draw(st.lists(st.sampled_from(letters), min_size=1,
+                                   max_size=8)))
+            for _ in range(draw(st.integers(1, 3)))]
+    for g in ("x", "y"):
+        k = draw(st.integers(0, 5))
+        if k:
+            rels.append(" ".join([g] * k))
+    return Presentation(("x", "y"), rels)
+
+
+class TestCertificationReport:
+    def test_perfect_group_order_is_not_the_index_of_x(self):
+        # <s> has index 20, so the report must fall back to the order
+        assert abelianization(BINARY_ICOSAHEDRAL).is_trivial()
+        assert todd_coxeter(BINARY_ICOSAHEDRAL, 10_000, subgroup=("s",)).index == 20
+        coset = certification_report(BINARY_ICOSAHEDRAL, 10_000)["coset"]
+        assert coset["status"] == "closed"
+        assert coset["order"] == 120
+        assert coset["verified"] is True
+        assert coset["subgroup"] == []
+
+    def test_trivial_group_certified_over_x(self):
+        coset = certification_report(ak_presentation(3, "y x"), 10_000)["coset"]
+        assert coset["subgroup"] == ["x"]
+        assert (coset["status"], coset["index"], coset["order"]) == ("closed", 1, 1)
+        assert coset["verified"] is True
+
+    def test_nontrivial_abelianization_enumerates_the_order(self):
+        p, order = FINITE_GROUPS["S3"]
+        coset = certification_report(p, 1000)["coset"]
+        assert (coset["subgroup"], coset["order"]) == ([], order)
+
+    def test_budget_over_x_falls_back(self):
+        # the report is then the trivial-subgroup pass, as it always was
+        p = ak_presentation(5, "y x")
+        assert todd_coxeter(p, 10, subgroup=("x",)).status == "budget"
+        report = certification_report(p, 10)
+        assert report["coset"] == todd_coxeter(p, 10).to_json()
+        assert report["coset"]["status"] == "budget"
+
+    @given(two_generator_presentations(), st.integers(50, 2000))
+    @settings(max_examples=150, deadline=None)
+    def test_order_one_exactly_when_the_group_is_trivial(self, p, budget):
+        regular = todd_coxeter(p, budget)
+        over_x = todd_coxeter(p, budget, subgroup=("x",))
+        assume(regular.closed() and over_x.closed())
+        coset = certification_report(p, budget)["coset"]
+        assert coset["verified"] is True
+        assert (coset["order"] == 1) == (regular.order == 1)
+        if coset["subgroup"]:
+            assert coset["order"] == 1
+        else:
+            assert coset["order"] == regular.order
 
 
 class TestAcMoveInvariance:

@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from kirbycalc import framedlinks, pipeline
 from kirbycalc.acsearch import core
+from kirbycalc.certify import certification_report
 from kirbycalc.cli import main
 from kirbycalc.pipeline import run_pipeline
+from kirbycalc.presentations import Presentation
 from kirbycalc.slopes import SlopeError
 from kirbycalc.wirtinger import hopf_link_pd, trefoil_pd, unknot_pd
 
@@ -68,7 +70,9 @@ class TestCertify:
         assert code == 0
         report = json.loads(out)
         assert report["coset"] == {"status": "closed", "order": 1, "live": 1,
-                                   "defined": 10, "verified": True}
+                                   "defined": 7, "verified": True,
+                                   "index": 1, "subgroup": ["x"],
+                                   "coincidences": 1, "peak_live": 7}
 
     def test_abelianization(self, capsys, ak0):
         code, out, _ = run(capsys, "abelianization", ak0)
@@ -269,6 +273,19 @@ class TestPipeline:
         assert report["abelianization"] == {"rank": 0, "torsion": []}
         assert report["coset"]["status"] == "closed"
         assert report["coset"]["order"] == 1
+
+    def test_summary_names_the_certificate(self):
+        report = run_pipeline(1)
+        assert ("coset enumeration: closed over ⟨x⟩, index 1: trivial"
+                in pipeline.summarize(report))
+        # the binary icosahedral group: perfect, of order 120
+        p = Presentation(("s", "t"), ("s t s t S S S", "s s s T T T T T"))
+        report["coset"] = certification_report(p, 10_000)["coset"]
+        assert ("coset enumeration: closed, group order 120"
+                in pipeline.summarize(report))
+        report = run_pipeline(5, coset_budget=20)
+        assert ("coset enumeration: budget exhausted (20 live / 20 defined)"
+                in pipeline.summarize(report))
 
     def test_reports_are_deterministic_outside_meta(self, capsys):
         def clean(raw):

@@ -3,10 +3,12 @@ import json
 
 import pytest
 
-from kirbycalc.certify import h1_from_matrix, todd_coxeter
+from kirbycalc.certify import (AbelianGroup, abelianization, h1_from_matrix,
+                               todd_coxeter)
 from kirbycalc.presentations import Presentation, tietze_simplify
-from kirbycalc.wirtinger import (PDCode, PDCodeError, hopf_link_pd,
-                                 longitude_word, meridian_word,
+from kirbycalc.wirtinger import (PDCode, PDCodeError, connected_sum,
+                                 granny_knot_pd, hopf_link_pd, longitude_word,
+                                 meridian_word, square_knot_pd,
                                  surgery_presentation, trefoil_pd, unknot_pd,
                                  wirtinger_presentation)
 from kirbycalc.words import Word
@@ -183,3 +185,67 @@ class TestLinkingMatrix:
 
     def test_trefoil_is_a_knot(self):
         assert trefoil_pd().linking_matrix([7]).entries == ((7,),)
+
+
+def fox_colorings(pd: PDCode, p: int = 3) -> int:
+    """Count Fox p-colorings of the arcs by brute force: at each crossing
+    twice the over-arc's color is the sum of the two under-arcs' colors."""
+    classes = pd.arc_classes()
+    arcs = sorted(set(classes.values()))
+    count = 0
+    for colors in itertools.product(range(p), repeat=len(arcs)):
+        color = dict(zip(arcs, colors))
+        if all((2 * color[classes[x.over_in]] - color[classes[x.under_in]]
+                - color[classes[x.under_out]]) % p == 0 for x in pd.crossings):
+            count += 1
+    return count
+
+
+class TestMirrorAndConnectedSum:
+    def test_mirror_changes_signs_and_is_an_involution(self):
+        assert trefoil_pd().mirror().writhe(0) == -3
+        assert hopf_link_pd().mirror().linking_matrix([0, 0]).entries == \
+            ((0, -1), (-1, 0))
+        assert trefoil_pd().mirror().mirror().to_json() == trefoil_pd().to_json()
+
+    def test_unknot_is_the_unit(self):
+        assert connected_sum(trefoil_pd(), unknot_pd()).to_json() == \
+            trefoil_pd().to_json()
+        assert connected_sum(unknot_pd(), trefoil_pd()).to_json() == \
+            trefoil_pd().to_json()
+
+    def test_labels_of_the_second_summand_are_moved_apart(self):
+        # a trefoil labelled -6..-1 would collide with a shift of 6
+        shifted = PDCode([(tuple(e - 7 for e in x.arcs), x.sign)
+                          for x in trefoil_pd().crossings],
+                         [range(-6, 0)])
+        pd = connected_sum(trefoil_pd(), shifted)
+        assert pd.writhe(0) == 6 and fox_colorings(pd) == 27
+
+    def test_rejects_links(self):
+        with pytest.raises(PDCodeError):
+            connected_sum(trefoil_pd(), hopf_link_pd())
+
+    @pytest.mark.parametrize("build, writhe", [(square_knot_pd, 0),
+                                               (granny_knot_pd, 6)],
+                             ids=["square", "granny"])
+    def test_square_and_granny_knots(self, build, writhe):
+        pd = build()
+        assert len(pd.components) == 1 and len(pd.crossings) == 6
+        assert pd.writhe(0) == writhe
+        assert abelianization(wirtinger_presentation(pd)) == AbelianGroup(1)
+        assert surgery_presentation(pd, [0]).abelianization() == AbelianGroup(1)
+        # a sum of two trefoils: 3^3 Fox 3-colorings, against the
+        # trefoil's 3^2 and the unknot's 3
+        assert fox_colorings(pd) == 27
+        # the meridian normally generates the knot group
+        sp = surgery_presentation(pd, [0])
+        killed = Presentation(sp.presentation.generators,
+                              sp.presentation.relators + sp.meridian_words)
+        assert todd_coxeter(killed, 10_000).order == 1
+
+    def test_fox_colorings_of_the_summands(self):
+        assert fox_colorings(unknot_pd()) == 3
+        assert fox_colorings(trefoil_pd()) == 9
+        assert fox_colorings(trefoil_pd().mirror()) == 9
+
