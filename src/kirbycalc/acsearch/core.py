@@ -10,25 +10,32 @@ exposed separately as canonical_key.  Generator names are written only along
 a reported trivialization, which is replayed through the public move
 operations before it is returned.
 
-Each expanded node gets one rotation table (``kernel.rotation_table``: per
-relabeling, the least rotations of its relators), which lives while its
-children are generated.  An invert, conjugate or multiply child replaces
-one relator, so its key is built from the table with only that relator
-rotated afresh; a stabilize or destabilize child changes the generator
-count and is keyed in full.
+Each expanded node gets one rotation table (``kernel.rotation_table``: its
+relators' rotation columns, the least rotations under every relabeling),
+which lives while its children are generated.  An invert, conjugate or
+multiply child replaces one relator, so its key swaps that relator's
+column into the table; a stabilize or destabilize child changes the
+generator count and is keyed from its own columns.
 
 Only children that can be the goal or add a key are built.  A conjugation
 rotates the cyclic core of its relator, which the key quotients, so a
 conjugate child shares its parent's key: it is yielded only where it is
-the goal.  The conjugated relators c * r_j * c^-1 are built once per
-expanded node and deduplicated, since equal ones give equal products.  A
-product's length follows from the cancellation at its junction, so the
-cap is checked before the product is allocated.
+the goal.  The conjugated relators c * r_j * c^-1 of a relator are
+deduplicated, since equal ones give equal products.  A product's length
+follows from the cancellation at its junction, so the cap is checked
+before the product is allocated.
+
+A child shares all its relators but one with its parent, so each search
+memoizes per relator, keyed by generator count and relator ``bytes``, its
+rotation column and its set of conjugates.  Both memos are plain dicts
+that live for one ``search`` call and are cleared whole at a fixed size
+(``kernel.MEMO_ROTATIONS`` least rotations, ``MEMO_CONJUGATES`` conjugated
+words), so no state carries from one search to the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -81,9 +88,14 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """Counts of one search.  ``levels`` holds one record per expanded
+    level: ``frontier`` (nodes expanded), ``children`` (children keyed) and
+    ``new`` (keys added)."""
+
     nodes_expanded: int = 0
     distinct_keys: int = 0
     max_frontier: int = 0
+    levels: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -203,7 +215,12 @@ def _conjugates(s, conjugators):
     return conjugates
 
 
-def _expand(rels, cfg: SearchConfig, base_gens: int):
+# A search's conjugate memo is cleared whole once it would hold more
+# conjugated words than this; a set holds one per conjugator at most.
+MEMO_CONJUGATES = 8192
+
+
+def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
     """The single-move successors that can be the goal or add a key, as
     (move, slot, child) triples, in the fixed enumeration order:
     inversions, a conjugation, multiplications (conjugators in length-lex
@@ -221,8 +238,10 @@ def _expand(rels, cfg: SearchConfig, base_gens: int):
       conjugator; the search keys it like any other child, and finds its
       parent's key;
     - r_i * t is the same word for equal conjugates t = c * r_j * c^-1, so
-      each distinct t is built once per node and kept with its first
-      conjugator;
+      each distinct t is kept with its first conjugator.  The set of them
+      for a relator is built once per search and generator count, in the
+      memo ``conjugate_sets`` (a child shares all relators but one with
+      its parent);
     - the length of r_i * t comes from the cancellation at its junction,
       and only a product within the cap is built.
     """
@@ -244,7 +263,15 @@ def _expand(rels, cfg: SearchConfig, base_gens: int):
             yield {"move": "conjugate", "i": i, "conj": conj}, i, child
 
     conjugators = _conjugators(n, cfg.conjugator_depth)
-    conjugates = [_conjugates(s, conjugators) for s in rels]
+    conjugates = []
+    for s in rels:
+        key = (n, s)
+        found = conjugate_sets.get(key)
+        if found is None:
+            if len(conjugate_sets) >= MEMO_CONJUGATES // len(conjugators):
+                conjugate_sets.clear()
+            found = conjugate_sets[key] = _conjugates(s, conjugators)
+        conjugates.append(found)
     for i in range(n):
         r = rels[i]
         for j in range(n):
@@ -312,6 +339,10 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
     frontier = [(root_key, rels)]
     goal: Optional[tuple[bytes, dict]] = None
 
+    # per generator count, each relator's rotation column and conjugate
+    # set, built once per search (kernel.MEMO_ROTATIONS, MEMO_CONJUGATES)
+    columns: dict = {}
+    conjugate_sets: dict = {}
     cut_short = False
     for _depth in range(cfg.max_depth):
         take = min(len(frontier), cfg.node_budget - stats.nodes_expanded)
@@ -322,19 +353,27 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
         stats.nodes_expanded += take
 
         next_frontier = []
+        children = 0
         for node_key, nrels in frontier[:take]:
             n = len(nrels)
-            table = kernel.rotation_table(nrels, n)
-            for move, slot, crels in _expand(nrels, cfg, base_gens):
+            table = kernel.rotation_table(nrels, n, columns)
+            for move, slot, crels in _expand(nrels, cfg, base_gens,
+                                             conjugate_sets):
+                children += 1
                 if goal is None and kernel.is_trivial_encoded(crels, len(crels)):
                     goal = (node_key, move)
                 if slot is None:
-                    key = kernel.search_key(crels, len(crels))
+                    m = len(crels)
+                    key = kernel.table_key(
+                        kernel.rotation_table(crels, m, columns), m)
                 else:
-                    key = kernel.child_search_key(table, slot, crels[slot], n)
+                    key = kernel.child_search_key(table, slot, crels[slot], n,
+                                                  columns)
                 if key not in parents:
                     parents[key] = (node_key, move)
                     next_frontier.append((key, crels))
+        stats.levels.append({"frontier": take, "children": children,
+                             "new": len(next_frontier)})
         if goal is not None or cut_short:
             break
         frontier = next_frontier

@@ -10,10 +10,15 @@ A least rotation starts a longest cyclic run of the least letter, so only
 those rotations are compared, and the run and its starts are found with
 C-level ``bytes`` searches (``in``, ``count``, ``find``).  A key minimizes,
 over the generator relabelings, the sorted least rotations of the relators'
-cyclic cores.  ``rotation_table`` holds those rotations, one row per
-relabeling; the search builds one table per expanded node, and
-``child_search_key`` keys a child that replaces one relator from it,
-rotating only the new relator.
+cyclic cores.  A relator's *column* is its least rotation under every
+relabeling, in ``_tables`` order, and a node's ``rotation_table`` is its
+relators' columns, so row k is the node under relabeling k.  The search
+keeps the columns in a memo, a dict keyed by generator count and relator
+(stabilizing keeps the relators but changes the relabelings): each column
+is built once per search, the table of an expanded node reads its columns
+from it, and ``child_search_key`` swaps in the column of a child's new
+relator.  The memo is cleared whole once it would hold more than
+``MEMO_ROTATIONS`` least rotations.
 
 Precondition: relators are ``bytes`` whose letters are below 2 * n_gens,
 and n_gens <= 127, so 0xFF is never a letter.  ``core.encode_presentation``
@@ -23,6 +28,7 @@ the other functions here take their words as given.
 
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 # One-letter words, indexed by letter.
 LETTERS = tuple(bytes((a,)) for a in range(256))
@@ -152,62 +158,77 @@ def _tables(n_gens):
             else _relabel_tables(n_gens))
 
 
+# A search's column memo is cleared whole once it would hold more least
+# rotations than this.  A column holds n_gens! of them, so the memo's size
+# does not grow with the generator count.
+MEMO_ROTATIONS = 8192
+
+
+def _column(relator, n_gens, columns):
+    """The relator's column, from the memo ``columns`` (keyed by generator
+    count and relator) or built and stored there."""
+    key = (n_gens, relator)
+    column = columns.get(key)
+    if column is None:
+        if len(columns) >= MEMO_ROTATIONS // factorial(n_gens):
+            columns.clear()
+        core = cyclic_core(relator)
+        column = columns[key] = tuple([least_rotation(core.translate(relabel))
+                                       for relabel in _tables(n_gens)])
+    return column
+
+
+def rotation_table(relators, n_gens, columns):
+    """A node's rotation columns, one per relator, from the memo
+    ``columns``: row k of the table, across the columns, is the node under
+    relabeling k.  It holds n_gens! * n_gens words, even past the cached
+    relabel tables (40,320 rows at 8 generators); a key alone streams its
+    rows."""
+    return [_column(r, n_gens, columns) for r in relators]
+
+
 def _rotation_rows(relators, n_gens):
-    """Per generator relabeling, the least rotations of the relators'
-    cyclic cores, in relator order."""
+    """The rows of the node's rotation table, streamed: per relabeling, the
+    least rotations of the relators' cyclic cores, in relator order."""
     cores = [cyclic_core(r) for r in relators]
     for relabel in _tables(n_gens):
         yield [least_rotation(c.translate(relabel)) for c in cores]
 
 
-def rotation_table(relators, n_gens):
-    """All n_gens! rotation rows of a node, kept whole even past the cached
-    relabel tables (40,320 rows at 8 generators); a key alone streams
-    them."""
-    return list(_rotation_rows(relators, n_gens))
-
-
-def _least_form(rows):
-    """The least of the rows, each sorted in place (so they must not be a
-    node's table): the form minimized over relabelings."""
-    best = None
-    for form in rows:
-        form.sort()
-        if best is None or form < best:
-            best = form
-    return best
-
-
-def _serialize(form, n_gens):
-    """One byte n_gens, then each relator followed by 0xFF."""
+def _least_key(rows, n_gens):
+    """The least of the rows, each sorted (the form minimized over
+    relabelings), as one byte n_gens and then each relator followed by
+    0xFF."""
+    form = min(map(sorted, rows), default=[])
     return bytes((n_gens,)) + b"\xff".join([*form, b""])
+
+
+def table_key(table, n_gens):
+    """search_key of the node whose rotation table is ``table``."""
+    return _least_key(zip(*table), n_gens)
 
 
 def canonical_key(relators, n_gens):
     """Stable byte key: equal exactly up to relator order, relator
     inversion, cyclic rotation, and generator relabeling."""
-    return _serialize(_least_form(
-        [min(r, least_rotation(invert_word(r))) for r in row]
-        for row in _rotation_rows(relators, n_gens)), n_gens)
+    return _least_key(
+        ([min(r, least_rotation(invert_word(r))) for r in row]
+         for row in _rotation_rows(relators, n_gens)), n_gens)
 
 
 def search_key(relators, n_gens):
     """Dedup key for the move search: quotients relator order, rotation and
     relabeling but NOT inversion, which is itself a move."""
-    return _serialize(_least_form(_rotation_rows(relators, n_gens)), n_gens)
+    return _least_key(_rotation_rows(relators, n_gens), n_gens)
 
 
-def child_search_key(table, i, relator, n_gens):
+def child_search_key(table, i, relator, n_gens, columns):
     """search_key of a child that replaces relator i of the node whose
-    rotation table is ``table`` by ``relator``: only the new relator is
-    rotated, once per relabeling."""
-    core = cyclic_core(relator)
-    forms = []
-    for relabel, row in zip(_tables(n_gens), table):
-        form = row.copy()
-        form[i] = least_rotation(core.translate(relabel))
-        forms.append(form)
-    return _serialize(_least_form(forms), n_gens)
+    rotation table is ``table`` by ``relator``: the new relator's column
+    comes from the memo ``columns``."""
+    table = table.copy()
+    table[i] = _column(relator, n_gens, columns)
+    return table_key(table, n_gens)
 
 
 def is_trivial_encoded(relators, n_gens):

@@ -1,16 +1,19 @@
 import itertools
+import json
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kirbycalc.acsearch import (BoundsError, SearchConfig, TraceError,
-                                canonical_key, is_trivial_form, replay_trace,
-                                search)
-from kirbycalc.acsearch import kernel
+from kirbycalc.acsearch import (BoundsError, SearchConfig, SearchStats,
+                                TraceError, canonical_key, is_trivial_form,
+                                replay_trace, search)
+from kirbycalc.acsearch import core, kernel
 from kirbycalc.acsearch.core import (_conjugates, _expand, _name_moves,
                                      encode_presentation)
 from kirbycalc.pipeline import run_pipeline
-from kirbycalc.presentations import BalancedPresentation, ak_presentation
+from kirbycalc.presentations import (BalancedPresentation, ak_presentation,
+                                     stabilize)
 
 from oracles import (brute_force_trivializable, ref_canonical_key, ref_expand,
                      ref_search_key)
@@ -254,14 +257,14 @@ def _check_child_keys(rels, cfg, base_gens):
     """Each child's key, from its parent's rotation table where one slot
     changed and afresh where the generator count changed, equals the full
     key and the reference key.  Returns the move kinds and the children."""
-    table = kernel.rotation_table(rels, len(rels))
+    table = kernel.rotation_table(rels, len(rels), {})
     kinds, children = set(), []
-    for move, slot, child in _expand(rels, cfg, base_gens):
+    for move, slot, child in _expand(rels, cfg, base_gens, {}):
         key = kernel.search_key(child, len(child))
         assert key == ref_search_key(child, len(child))
         if slot is not None:
             assert kernel.child_search_key(table, slot, child[slot],
-                                           len(rels)) == key
+                                           len(rels), {}) == key
         kinds.add(move["move"])
         children.append(child)
     return kinds, children
@@ -299,19 +302,49 @@ class TestChildKeys:
         assert out.trace == [{"move": "conjugate", "i": 0, "conj": "x"}]
 
     @given(expand_inputs())
+    @settings(max_examples=30, deadline=None)
+    def test_one_memo_across_generator_counts(self, case):
+        # as in a search, one memo serves a node and its stabilize and
+        # destabilize children, whose relators it may hold at the node's
+        # generator count; two levels, so a child's columns are read back
+        rels, base_gens = case
+        cfg = SearchConfig(max_total_length=40, max_depth=1,
+                           conjugator_depth=1, stabilizations=1)
+        columns, conjugate_sets = {}, {}
+        level = [rels]
+        for _ in range(2):
+            next_level = []
+            for node in level:
+                n = len(node)
+                table = kernel.rotation_table(node, n, columns)
+                assert kernel.table_key(table, n) == ref_search_key(node, n)
+                for _, slot, child in _expand(node, cfg, base_gens,
+                                              conjugate_sets):
+                    m = len(child)
+                    if slot is None:
+                        key = kernel.table_key(
+                            kernel.rotation_table(child, m, columns), m)
+                        next_level.append(child)
+                    else:
+                        key = kernel.child_search_key(table, slot, child[slot],
+                                                      n, columns)
+                    assert key == ref_search_key(child, m)
+            level = next_level
+
+    @given(expand_inputs())
     @settings(max_examples=100, deadline=None)
     def test_conjugate_child_has_parent_key(self, case):
         # a conjugation only rotates the cyclic core of its relator, so
         # _expand need not build or key conjugate children
         rels, _ = case
         n = len(rels)
-        table = kernel.rotation_table(rels, n)
+        table = kernel.rotation_table(rels, n, {})
         key = kernel.search_key(rels, n)
         assert key == ref_search_key(rels, n)
         for i, r in enumerate(rels):
             for a in kernel.LETTERS[:2 * n]:
                 child = kernel.conjugate_relator(r, a)
-                assert kernel.child_search_key(table, i, child, n) == key
+                assert kernel.child_search_key(table, i, child, n, {}) == key
 
 
 def _pruned_reference(rels, cfg, base_gens):
@@ -357,15 +390,21 @@ class TestPrunedExpansion:
         assume(not kernel.is_trivial_encoded(rels, len(rels)))
         cfg = SearchConfig(max_total_length=40, max_depth=1,
                            conjugator_depth=2, stabilizations=1)
-        assert list(_expand(rels, cfg, base_gens)) == \
-            _pruned_reference(rels, cfg, base_gens)
+        expected = _pruned_reference(rels, cfg, base_gens)
+        conjugate_sets = {}
+        assert list(_expand(rels, cfg, base_gens, conjugate_sets)) == expected
+        # a second call finds every conjugate set in the memo
+        with mock.patch.object(core, "_conjugates",
+                               side_effect=AssertionError("set rebuilt")):
+            assert list(_expand(rels, cfg, base_gens, conjugate_sets)) == \
+                expected
 
     def test_w1_first_two_levels(self):
         root = encode_presentation(ak_presentation(1))
         level = [child for _, _, child in ref_expand(root, W1_CFG, len(root))]
         for rels in [root, *level]:
             if not kernel.is_trivial_encoded(rels, len(rels)):
-                assert list(_expand(rels, W1_CFG, len(root))) == \
+                assert list(_expand(rels, W1_CFG, len(root), {})) == \
                     _pruned_reference(rels, W1_CFG, len(root))
 
 
@@ -475,21 +514,74 @@ class TestPinnedSearch:
     last allowed level uses up exactly, (4, 30) and (1, 1), leaves nothing
     unsearched, so they read exhausted, no longer budget."""
 
-    @pytest.mark.parametrize("depth, budget, status, stats", [
+    REPRO = B(("x", "y"), ("x y", "x y y y x"))
+    BUDGET_EDGES = [
         (4, 100_000, "exhausted", (30, 60, 30)),
         (4, 31, "exhausted", (30, 60, 30)),
         (4, 30, "exhausted", (30, 60, 30)),
         (4, 29, "budget", (29, 56, 16)),
         (1, 1, "exhausted", (1, 5, 4)),
         (1, 2, "exhausted", (1, 5, 4)),
-    ])
+    ]
+
+    @staticmethod
+    def _edge_config(depth, budget):
+        return SearchConfig(max_total_length=9, max_depth=depth,
+                            conjugator_depth=1, node_budget=budget)
+
+    @pytest.mark.parametrize("depth, budget, status, stats", BUDGET_EDGES)
     def test_budget_edges(self, depth, budget, status, stats):
-        p = B(("x", "y"), ("x y", "x y y y x"))
-        out = search(p, SearchConfig(max_total_length=9, max_depth=depth,
-                                     conjugator_depth=1, node_budget=budget))
+        out = search(self.REPRO, self._edge_config(depth, budget))
         assert out.status == status
         assert (out.stats.nodes_expanded, out.stats.distinct_keys,
                 out.stats.max_frontier) == stats
+        # the level records add up to the totals and survive JSON
+        levels = out.stats.levels
+        assert sum(level["frontier"] for level in levels) == \
+            out.stats.nodes_expanded
+        assert 1 + sum(level["new"] for level in levels) == \
+            out.stats.distinct_keys
+        assert SearchStats(**json.loads(json.dumps(out.stats.to_json()))) \
+            == out.stats
+
+    def test_level_counts(self):
+        full = [{"frontier": 1, "children": 4, "new": 4},
+                {"frontier": 4, "children": 14, "new": 9},
+                {"frontier": 9, "children": 33, "new": 16}]
+        out = search(self.REPRO, self._edge_config(4, 100_000))
+        assert out.stats.levels == \
+            full + [{"frontier": 16, "children": 59, "new": 30}]
+        # a level cut short by the budget counts what it expanded
+        out = search(self.REPRO, self._edge_config(4, 29))
+        assert out.stats.levels == \
+            full + [{"frontier": 15, "children": 53, "new": 26}]
+
+    def test_memo_caps_do_not_change_the_search(self, monkeypatch):
+        ak3 = stabilize(ak_presentation(3))
+        cases = [(self.REPRO, self._edge_config(depth, budget))
+                 for depth, budget, _, _ in self.BUDGET_EDGES]
+        cases += [
+            (ak_presentation(1), SearchConfig(
+                max_total_length=11, max_depth=30, conjugator_depth=2,
+                node_budget=30_000)),
+            (ak3, SearchConfig(
+                max_total_length=ak3.total_relator_length() + 6, max_depth=40,
+                node_budget=100, stabilizations=1)),
+        ]
+        builds = []
+
+        def counted(s, conjugators):
+            builds.append(s)
+            return _conjugates(s, conjugators)
+
+        monkeypatch.setattr(core, "_conjugates", counted)
+        outcomes = [search(p, cfg) for p, cfg in cases]
+        memoized = len(builds)
+        # caps of 1 clear each memo on every insert
+        monkeypatch.setattr(kernel, "MEMO_ROTATIONS", 1)
+        monkeypatch.setattr(core, "MEMO_CONJUGATES", 1)
+        assert [search(p, cfg) for p, cfg in cases] == outcomes
+        assert len(builds) > 2 * memoized
 
     def test_trace_with_two_letter_conjugators(self):
         out = search(ak_presentation(1), SearchConfig(

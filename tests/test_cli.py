@@ -143,7 +143,7 @@ class TestAcSearch:
                                                    monkeypatch):
         # the input is valid, so a goal move that does not apply is the
         # search's own fault: exit 2, not a bad-input exit 1
-        def bogus_expand(rels, cfg, base_gens):
+        def bogus_expand(rels, cfg, base_gens, conjugate_sets):
             yield {"move": "invert", "i": 7}, None, (b"\x00", b"\x02")
 
         monkeypatch.setattr(core, "_expand", bogus_expand)
