@@ -10,13 +10,6 @@ exposed separately as canonical_key.  Generator names are written only along
 a reported trivialization, which is replayed through the public move
 operations before it is returned.
 
-Each expanded node gets one rotation table (``kernel.rotation_table``: its
-relators' rotation columns, the least rotations under every relabeling),
-which lives while its children are generated.  An invert, conjugate or
-multiply child replaces one relator, so its key swaps that relator's
-column into the table; a stabilize or destabilize child changes the
-generator count and is keyed from its own columns.
-
 Only children that can be the goal or add a key are built.  A conjugation
 rotates the cyclic core of its relator, which the key quotients, so a
 conjugate child shares its parent's key: it is yielded only where it is
@@ -25,9 +18,12 @@ deduplicated, since equal ones give equal products.  A product's length
 follows from the cancellation at its junction, so the cap is checked
 before the product is allocated.
 
-A child shares all its relators but one with its parent, so each search
-memoizes per relator, keyed by generator count and relator ``bytes``, its
-rotation column and its set of conjugates.  Both memos are plain dicts
+The root and every child are keyed by one call, ``kernel.search_key``, over
+their relators' rotation columns (a relator's least rotations under every
+relabeling).  A child shares all its relators but one with its parent, so
+each search memoizes per relator, keyed by generator count and relator
+``bytes``, its rotation column and its set of conjugates; keying a child
+builds the column of its new relator only.  Both memos are plain dicts
 that live for one ``search`` call and are cleared whole at a fixed size
 (``kernel.MEMO_ROTATIONS`` least rotations, ``MEMO_CONJUGATES`` conjugated
 words), so no state carries from one search to the next.
@@ -222,13 +218,12 @@ MEMO_CONJUGATES = 8192
 
 def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
     """The single-move successors that can be the goal or add a key, as
-    (move, slot, child) triples, in the fixed enumeration order:
-    inversions, a conjugation, multiplications (conjugators in length-lex
-    order), stabilization, destabilization.  ``slot`` is the one relator
-    index a move replaces, or None when it changes the generator count.  A
-    node is balanced, so it has len(rels) generators; relators and
-    conjugators are ``bytes`` words.  ``rels`` is a non-trivial node within
-    the cap, as the search expands no other.
+    (move, child) pairs, in the fixed enumeration order: inversions, a
+    conjugation, multiplications (conjugators in length-lex order),
+    stabilization, destabilization.  A node is balanced, so it has
+    len(rels) generators; relators and conjugators are ``bytes`` words.
+    ``rels`` is a non-trivial node within the cap, as the search expands no
+    other.
 
     Children that cannot add to the search are not built:
     - a conjugation rotates the cyclic core of its relator, which the key
@@ -250,7 +245,7 @@ def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
     room = cfg.max_total_length - total
 
     for i in range(n):
-        yield {"move": "invert", "i": i}, i, \
+        yield {"move": "invert", "i": i}, \
             rels[:i] + (kernel.invert_word(rels[i]),) + rels[i + 1:]
 
     longer = [i for i, r in enumerate(rels) if len(r) != 1]
@@ -260,7 +255,7 @@ def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
         child = rels[:i] + (kernel.conjugate_relator(rels[i], conj),) \
             + rels[i + 1:]
         if kernel.is_trivial_encoded(child, n):
-            yield {"move": "conjugate", "i": i, "conj": conj}, i, child
+            yield {"move": "conjugate", "i": i, "conj": conj}, child
 
     conjugators = _conjugators(n, cfg.conjugator_depth)
     conjugates = []
@@ -281,11 +276,11 @@ def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
                 k = kernel.junction_cancellation(r, t)
                 if len(t) - 2 * k <= room:
                     move = {"move": "multiply", "i": i, "j": j, "conj": conj}
-                    yield move, i, \
+                    yield move, \
                         rels[:i] + (r[:len(r) - k] + t[k:],) + rels[i + 1:]
 
     if n - base_gens < cfg.stabilizations and room >= 1:
-        yield {"move": "stabilize"}, None, rels + (kernel.LETTERS[n << 1],)
+        yield {"move": "stabilize"}, rels + (kernel.LETTERS[n << 1],)
 
     for i in range(n):
         if len(rels[i]) != 1:
@@ -294,7 +289,7 @@ def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
         if any(k != i and any(a >> 1 == sym for a in r)
                for k, r in enumerate(rels)):
             continue
-        yield {"move": "destabilize", "i": i}, None, tuple(
+        yield {"move": "destabilize", "i": i}, tuple(
             bytes(a - 2 if a >> 1 > sym else a for a in r)
             for k, r in enumerate(rels) if k != i)
 
@@ -329,7 +324,11 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
 
     rels = encode_presentation(p)
     base_gens = len(rels)
-    root_key = kernel.search_key(rels, base_gens)
+    # per generator count, each relator's rotation column and conjugate
+    # set, built once per search (kernel.MEMO_ROTATIONS, MEMO_CONJUGATES)
+    columns: dict = {}
+    conjugate_sets: dict = {}
+    root_key = kernel.search_key(rels, base_gens, columns)
     stats = SearchStats(nodes_expanded=0, distinct_keys=1, max_frontier=1)
 
     if kernel.is_trivial_encoded(rels, base_gens):
@@ -338,11 +337,6 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
     parents: dict[bytes, tuple[Optional[bytes], Optional[dict]]] = {root_key: (None, None)}
     frontier = [(root_key, rels)]
     goal: Optional[tuple[bytes, dict]] = None
-
-    # per generator count, each relator's rotation column and conjugate
-    # set, built once per search (kernel.MEMO_ROTATIONS, MEMO_CONJUGATES)
-    columns: dict = {}
-    conjugate_sets: dict = {}
     cut_short = False
     for _depth in range(cfg.max_depth):
         take = min(len(frontier), cfg.node_budget - stats.nodes_expanded)
@@ -355,20 +349,11 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
         next_frontier = []
         children = 0
         for node_key, nrels in frontier[:take]:
-            n = len(nrels)
-            table = kernel.rotation_table(nrels, n, columns)
-            for move, slot, crels in _expand(nrels, cfg, base_gens,
-                                             conjugate_sets):
+            for move, crels in _expand(nrels, cfg, base_gens, conjugate_sets):
                 children += 1
                 if goal is None and kernel.is_trivial_encoded(crels, len(crels)):
                     goal = (node_key, move)
-                if slot is None:
-                    m = len(crels)
-                    key = kernel.table_key(
-                        kernel.rotation_table(crels, m, columns), m)
-                else:
-                    key = kernel.child_search_key(table, slot, crels[slot], n,
-                                                  columns)
+                key = kernel.search_key(crels, len(crels), columns)
                 if key not in parents:
                     parents[key] = (node_key, move)
                     next_frontier.append((key, crels))

@@ -11,14 +11,13 @@ those rotations are compared, and the run and its starts are found with
 C-level ``bytes`` searches (``in``, ``count``, ``find``).  A key minimizes,
 over the generator relabelings, the sorted least rotations of the relators'
 cyclic cores.  A relator's *column* is its least rotation under every
-relabeling, in ``_tables`` order, and a node's ``rotation_table`` is its
-relators' columns, so row k is the node under relabeling k.  The search
-keeps the columns in a memo, a dict keyed by generator count and relator
-(stabilizing keeps the relators but changes the relabelings): each column
-is built once per search, the table of an expanded node reads its columns
-from it, and ``child_search_key`` swaps in the column of a child's new
-relator.  The memo is cleared whole once it would hold more than
-``MEMO_ROTATIONS`` least rotations.
+relabeling, in ``_tables`` order, so row k across a node's columns is the
+node under relabeling k.  A key reads its columns from a memo, a dict keyed
+by generator count and relator (stabilizing keeps the relators but changes
+the relabelings): ``search_key`` takes the search's memo, so each column is
+built once per search, and ``canonical_key`` keeps one for the call.  The
+memo is cleared whole once it would hold more than ``MEMO_ROTATIONS`` least
+rotations.
 
 Precondition: relators are ``bytes`` whose letters are below 2 * n_gens,
 and n_gens <= 127, so 0xFF is never a letter.  ``core.encode_presentation``
@@ -178,23 +177,6 @@ def _column(relator, n_gens, columns):
     return column
 
 
-def rotation_table(relators, n_gens, columns):
-    """A node's rotation columns, one per relator, from the memo
-    ``columns``: row k of the table, across the columns, is the node under
-    relabeling k.  It holds n_gens! * n_gens words, even past the cached
-    relabel tables (40,320 rows at 8 generators); a key alone streams its
-    rows."""
-    return [_column(r, n_gens, columns) for r in relators]
-
-
-def _rotation_rows(relators, n_gens):
-    """The rows of the node's rotation table, streamed: per relabeling, the
-    least rotations of the relators' cyclic cores, in relator order."""
-    cores = [cyclic_core(r) for r in relators]
-    for relabel in _tables(n_gens):
-        yield [least_rotation(c.translate(relabel)) for c in cores]
-
-
 def _least_key(rows, n_gens):
     """The least of the rows, each sorted (the form minimized over
     relabelings), as one byte n_gens and then each relator followed by
@@ -203,32 +185,24 @@ def _least_key(rows, n_gens):
     return bytes((n_gens,)) + b"\xff".join([*form, b""])
 
 
-def table_key(table, n_gens):
-    """search_key of the node whose rotation table is ``table``."""
-    return _least_key(zip(*table), n_gens)
+def search_key(relators, n_gens, columns):
+    """Dedup key for the move search: quotients relator order, rotation and
+    relabeling but NOT inversion, which is itself a move.  The relators'
+    columns come from the memo ``columns``; row k across them is the node
+    under relabeling k."""
+    get = columns.get
+    cols = [get((n_gens, r)) or _column(r, n_gens, columns) for r in relators]
+    return _least_key(zip(*cols), n_gens)
 
 
 def canonical_key(relators, n_gens):
     """Stable byte key: equal exactly up to relator order, relator
     inversion, cyclic rotation, and generator relabeling."""
+    columns = {}
+    cols = [_column(r, n_gens, columns) for r in relators]
     return _least_key(
         ([min(r, least_rotation(invert_word(r))) for r in row]
-         for row in _rotation_rows(relators, n_gens)), n_gens)
-
-
-def search_key(relators, n_gens):
-    """Dedup key for the move search: quotients relator order, rotation and
-    relabeling but NOT inversion, which is itself a move."""
-    return _least_key(_rotation_rows(relators, n_gens), n_gens)
-
-
-def child_search_key(table, i, relator, n_gens, columns):
-    """search_key of a child that replaces relator i of the node whose
-    rotation table is ``table`` by ``relator``: the new relator's column
-    comes from the memo ``columns``."""
-    table = table.copy()
-    table[i] = _column(relator, n_gens, columns)
-    return table_key(table, n_gens)
+         for row in zip(*cols)), n_gens)
 
 
 def is_trivial_encoded(relators, n_gens):

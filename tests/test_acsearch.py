@@ -87,9 +87,17 @@ class TestKeyBytes:
     @settings(max_examples=150, deadline=None)
     def test_keys_equal_reference(self, case):
         rels, n_gens = case
-        assert kernel.search_key(rels, n_gens) == ref_search_key(rels, n_gens)
+        key = kernel.search_key(rels, n_gens, {})
+        assert key == ref_search_key(rels, n_gens)
         assert kernel.canonical_key(rels, n_gens) == \
             ref_canonical_key(rels, n_gens)
+        # a warm memo, holding other relators' columns and these relators'
+        # columns at another generator count, gives the same key
+        columns = {}
+        kernel.search_key([kernel.invert_word(r) for r in rels], n_gens,
+                          columns)
+        kernel.search_key(rels, n_gens + 1, columns)
+        assert kernel.search_key(rels, n_gens, columns) == key
 
     @pytest.mark.parametrize("rels, n_gens", [
         pytest.param((b"\0\2", b"\3\5\0"), 3, id="three-generators"),
@@ -98,17 +106,20 @@ class TestKeyBytes:
                      id="rotated-relator-255-letters"),
     ])
     def test_edge_cases_match_reference(self, rels, n_gens):
-        assert kernel.search_key(rels, n_gens) == ref_search_key(rels, n_gens)
+        assert kernel.search_key(rels, n_gens, {}) == \
+            ref_search_key(rels, n_gens)
         assert kernel.canonical_key(rels, n_gens) == \
             ref_canonical_key(rels, n_gens)
 
     def test_many_generators(self):
         # past the cached relabeling tables
         rels = (bytes((0, 4, 9, 14, 3)), bytes((15, 2, 2, 6)))
-        assert kernel.search_key(rels, 8) == ref_search_key(rels, 8)
+        assert kernel.search_key(rels, 8, {}) == ref_search_key(rels, 8)
+        assert kernel.canonical_key(rels, 8) == ref_canonical_key(rels, 8)
 
     def test_empty_relator_is_kept(self):
-        assert kernel.search_key([], 2) != kernel.search_key([b""], 2)
+        assert kernel.search_key([], 2, {}) != \
+            kernel.search_key([b""], 2, {})
         assert kernel.canonical_key([], 2) != kernel.canonical_key([b""], 2)
 
     def test_too_many_generators(self, monkeypatch):
@@ -254,17 +265,14 @@ def expand_inputs(draw):
 
 
 def _check_child_keys(rels, cfg, base_gens):
-    """Each child's key, from its parent's rotation table where one slot
-    changed and afresh where the generator count changed, equals the full
-    key and the reference key.  Returns the move kinds and the children."""
-    table = kernel.rotation_table(rels, len(rels), {})
+    """Each child's key, from a memo that holds its parent's columns, equals
+    the reference key.  Returns the move kinds and the children."""
+    columns = {}
+    kernel.search_key(rels, len(rels), columns)
     kinds, children = set(), []
-    for move, slot, child in _expand(rels, cfg, base_gens, {}):
-        key = kernel.search_key(child, len(child))
-        assert key == ref_search_key(child, len(child))
-        if slot is not None:
-            assert kernel.child_search_key(table, slot, child[slot],
-                                           len(rels), {}) == key
+    for move, child in _expand(rels, cfg, base_gens, {}):
+        assert kernel.search_key(child, len(child), columns) == \
+            ref_search_key(child, len(child))
         kinds.add(move["move"])
         children.append(child)
     return kinds, children
@@ -316,19 +324,14 @@ class TestChildKeys:
             next_level = []
             for node in level:
                 n = len(node)
-                table = kernel.rotation_table(node, n, columns)
-                assert kernel.table_key(table, n) == ref_search_key(node, n)
-                for _, slot, child in _expand(node, cfg, base_gens,
-                                              conjugate_sets):
+                assert kernel.search_key(node, n, columns) == \
+                    ref_search_key(node, n)
+                for _, child in _expand(node, cfg, base_gens, conjugate_sets):
                     m = len(child)
-                    if slot is None:
-                        key = kernel.table_key(
-                            kernel.rotation_table(child, m, columns), m)
+                    assert kernel.search_key(child, m, columns) == \
+                        ref_search_key(child, m)
+                    if m != n:
                         next_level.append(child)
-                    else:
-                        key = kernel.child_search_key(table, slot, child[slot],
-                                                      n, columns)
-                    assert key == ref_search_key(child, m)
             level = next_level
 
     @given(expand_inputs())
@@ -338,13 +341,14 @@ class TestChildKeys:
         # _expand need not build or key conjugate children
         rels, _ = case
         n = len(rels)
-        table = kernel.rotation_table(rels, n, {})
-        key = kernel.search_key(rels, n)
+        columns = {}
+        key = kernel.search_key(rels, n, columns)
         assert key == ref_search_key(rels, n)
         for i, r in enumerate(rels):
             for a in kernel.LETTERS[:2 * n]:
-                child = kernel.conjugate_relator(r, a)
-                assert kernel.child_search_key(table, i, child, n, {}) == key
+                child = rels[:i] + (kernel.conjugate_relator(r, a),) \
+                    + rels[i + 1:]
+                assert kernel.search_key(child, n, columns) == key
 
 
 def _pruned_reference(rels, cfg, base_gens):
@@ -352,10 +356,13 @@ def _pruned_reference(rels, cfg, base_gens):
     children that are not the goal or repeat an earlier child, and multiply
     children that repeat an earlier one with the same i and j.  Each child
     left out is checked to be one that cannot change the search: it repeats
-    an earlier child, or it is not the goal and has its parent's key."""
-    parent_key = kernel.search_key(rels, len(rels))
+    an earlier child, or it is not the goal and has its parent's key.
+    ``ref_expand`` yields (move, slot, child) triples; the children kept are
+    projected to the (move, child) pairs that _expand yields."""
+    columns = {}
+    parent_key = kernel.search_key(rels, len(rels), columns)
     seen, products, kept = set(), set(), []
-    for move, slot, child in ref_expand(rels, cfg, base_gens):
+    for move, _, child in ref_expand(rels, cfg, base_gens):
         trivial = kernel.is_trivial_encoded(child, len(child))
         if move["move"] == "conjugate":
             drop = child in seen or not trivial
@@ -368,9 +375,10 @@ def _pruned_reference(rels, cfg, base_gens):
         if drop:
             assert child in seen or (
                 not trivial
-                and kernel.search_key(child, len(child)) == parent_key)
+                and kernel.search_key(child, len(child), columns)
+                == parent_key)
         else:
-            kept.append((move, slot, child))
+            kept.append((move, child))
         seen.add(child)
     return kept
 
