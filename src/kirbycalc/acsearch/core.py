@@ -86,7 +86,9 @@ class SearchConfig:
 class SearchStats:
     """Counts of one search.  ``levels`` holds one record per expanded
     level: ``frontier`` (nodes expanded), ``children`` (children keyed) and
-    ``new`` (keys added)."""
+    ``new`` (keys added).  ``max_frontier`` is the most nodes one level
+    held: the root's 1, or the largest ``new``, the last level's included
+    whatever ended the search."""
 
     nodes_expanded: int = 0
     distinct_keys: int = 0
@@ -362,9 +364,9 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
         if goal is not None or cut_short:
             break
         frontier = next_frontier
-        stats.max_frontier = max(stats.max_frontier, len(frontier))
 
     stats.distinct_keys = len(parents)
+    stats.max_frontier = max([1, *(level["new"] for level in stats.levels)])
 
     if goal is not None:
         node_key, last_move = goal

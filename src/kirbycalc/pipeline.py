@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from . import acsearch
+from . import __version__, acsearch
 from .acsearch import SearchConfig
 from .certify import AbelianGroup, certification_report
 from .framedlinks import zero_model
@@ -41,18 +41,29 @@ def run_pipeline(n: int, w: str = "y x",
                  coset_budget: int = DEFAULT_COSET_BUDGET,
                  max_q: int = DEFAULT_MAX_Q, **search) -> dict:
     """Produce the full JSON-ready report for family member n.  ``search``
-    holds default_search_config keywords; the rest keep its defaults."""
+    holds default_search_config keywords; the rest keep its defaults.
+    ``meta`` holds what varies from run to run: the timestamp, and the
+    seconds of the whole run and of its slopes, certify and search
+    stages."""
     start = time.perf_counter()
+    stage_seconds = {}
+
+    def timed(stage, fn, *args):
+        t = time.perf_counter()
+        result = fn(*args)
+        stage_seconds[stage] = round(time.perf_counter() - t, 3)
+        return result
+
     # slopes first, so a bad max_q is refused before certify and search run
-    slopes = [str(s) for s in enumerate_candidates(max_q)]
+    slopes = [str(s) for s in timed("slopes", enumerate_candidates, max_q)]
     p = ak_presentation(n, w)
     search_cfg = default_search_config(p, **search)
 
     assumed_model = zero_model(2)
     gpr = assumed_model.gpr_hypothesis_check()
-    cert = certification_report(p, coset_budget)
+    cert = timed("certify", certification_report, p, coset_budget)
 
-    outcome = acsearch.search(p, search_cfg)
+    outcome = timed("search", acsearch.search, p, search_cfg)
 
     report = {
         "input": {"n": n, "w": w},
@@ -66,7 +77,9 @@ def run_pipeline(n: int, w: str = "y x",
         "caveat": CAVEAT,
         "meta": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                  "elapsed_seconds": round(time.perf_counter() - start, 3),
-                 "kernel": acsearch.KERNEL_IMPL},
+                 "stage_seconds": stage_seconds,
+                 "kernel": acsearch.KERNEL_IMPL,
+                 "version": __version__},
     }
     return report
 

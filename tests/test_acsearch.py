@@ -520,14 +520,17 @@ class TestPinnedSearch:
     nodes lost their generator names; any change to them is a change of the
     search itself.  Two budget edges were corrected since: a budget that the
     last allowed level uses up exactly, (4, 30) and (1, 1), leaves nothing
-    unsearched, so they read exhausted, no longer budget."""
+    unsearched, so they read exhausted, no longer budget.  max_frontier
+    was corrected too: it counts the last level's new keys also when the
+    goal or the budget ends the search, so (4, 29) reads 26, not 16, and
+    the AK(1) trace 208, not 159."""
 
     REPRO = B(("x", "y"), ("x y", "x y y y x"))
     BUDGET_EDGES = [
         (4, 100_000, "exhausted", (30, 60, 30)),
         (4, 31, "exhausted", (30, 60, 30)),
         (4, 30, "exhausted", (30, 60, 30)),
-        (4, 29, "budget", (29, 56, 16)),
+        (4, 29, "budget", (29, 56, 26)),
         (1, 1, "exhausted", (1, 5, 4)),
         (1, 2, "exhausted", (1, 5, 4)),
     ]
@@ -597,7 +600,7 @@ class TestPinnedSearch:
             node_budget=30_000))
         assert out.status == "trivialized"
         assert (out.stats.nodes_expanded, out.stats.distinct_keys,
-                out.stats.max_frontier) == (362, 570, 159)
+                out.stats.max_frontier) == (362, 570, 208)
         assert out.trace == [
             {"move": "invert", "i": 0},
             {"move": "multiply", "i": 0, "j": 1, "conj": "Y"},

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
+import kirbycalc
 from kirbycalc import framedlinks, pipeline
 from kirbycalc.acsearch import core
 from kirbycalc.certify import certification_report
@@ -286,6 +288,21 @@ class TestPipeline:
         report = run_pipeline(5, coset_budget=20)
         assert ("coset enumeration: budget exhausted (20 live / 20 defined)"
                 in pipeline.summarize(report))
+
+    def test_meta_names_version_and_stage_times(self):
+        meta = run_pipeline(1)["meta"]
+        assert meta["version"] == kirbycalc.__version__
+        assert meta["kernel"] == "python"
+        stages = meta["stage_seconds"]
+        assert set(stages) == {"slopes", "certify", "search"}
+        assert all(t >= 0 for t in stages.values())
+        assert sum(stages.values()) <= meta["elapsed_seconds"] + 0.003
+
+    def test_version_matches_pyproject(self):
+        # a regex, not tomllib, which Python 3.10 lacks
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+        assert match and match.group(1) == kirbycalc.__version__
 
     def test_reports_are_deterministic_outside_meta(self, capsys):
         def clean(raw):
