@@ -86,9 +86,8 @@ class SearchConfig:
 class SearchStats:
     """Counts of one search.  ``levels`` holds one record per expanded
     level: ``frontier`` (nodes expanded), ``children`` (children keyed) and
-    ``new`` (keys added).  ``max_frontier`` is the most nodes one level
-    held: the root's 1, or the largest ``new``, the last level's included
-    whatever ended the search."""
+    ``new`` (keys added).  ``max_frontier`` is the largest ``new`` of any
+    level, or 1, the root."""
 
     nodes_expanded: int = 0
     distinct_keys: int = 0

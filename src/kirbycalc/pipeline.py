@@ -42,9 +42,9 @@ def run_pipeline(n: int, w: str = "y x",
                  max_q: int = DEFAULT_MAX_Q, **search) -> dict:
     """Produce the full JSON-ready report for family member n.  ``search``
     holds default_search_config keywords; the rest keep its defaults.
-    ``meta`` holds what varies from run to run: the timestamp, and the
-    seconds of the whole run and of its slopes, certify and search
-    stages."""
+    ``meta`` holds the fields that are not about the member: the
+    timestamp, the kernel and package version, and the seconds of the whole
+    run and of its slopes, certify and search stages."""
     start = time.perf_counter()
     stage_seconds = {}
 
