@@ -41,16 +41,6 @@ def check_generator_count(n_gens):
                          f"got {n_gens}")
 
 
-def reduce_word(seq):
-    stack = []
-    for a in seq:
-        if stack and stack[-1] == a ^ 1:
-            stack.pop()
-        else:
-            stack.append(a)
-    return bytes(stack)
-
-
 def invert_word(word):
     return word[::-1].translate(_INVERSE)
 

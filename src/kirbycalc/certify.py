@@ -1,12 +1,14 @@
 """Exact certification tools: integer linear algebra and coset enumeration.
 
 Everything here runs on arbitrary-precision integers; no floating point.
-Smith normal form feeds abelianization checks, and a relator-driven coset
-enumerator (with an independent post-hoc verification pass) counts the
-cosets of a subgroup given by generating words.  Over the trivial subgroup
-that certifies a finite group order.  Order 1 is certified more cheaply: if
-the first generator x has index 1, the group is the cyclic group <x>, hence
-equal to its abelianization, so a trivial abelianization makes it trivial.
+Smith normal form feeds abelianization checks; its unimodular transforms
+ride on the same row and column operations, which act on one augmented
+matrix.  A relator-driven coset enumerator (with an independent post-hoc
+verification pass) counts the cosets of a subgroup given by generating
+words.  Over the trivial subgroup that certifies a finite group order.
+Order 1 is certified more cheaply: if the first generator x has index 1,
+the group is the cyclic group <x>, hence equal to its abelianization, so a
+trivial abelianization makes it trivial.
 """
 
 from __future__ import annotations
@@ -123,34 +125,17 @@ def smith_normal_form(mat: IntegerMatrix) -> SmithNormalForm:
     in {1, -1}.
     """
     rows, cols = mat.rows, mat.cols
-    a = [list(r) for r in mat.entries]
-    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
+    # One working matrix, [mat | I_rows] over [I_cols | 0]: an operation on
+    # rows of mat also builds left, one on columns of mat also builds right,
+    # and the pivot and divisibility searches read only the mat block.
+    w = ([list(r) + [1 if i == j else 0 for j in range(rows)]
+          for i, r in enumerate(mat.entries)]
+         + [[1 if i == j else 0 for j in range(cols)] + [0] * rows
+            for i in range(cols)])
 
     def swap_cols(i, j):
-        for row in a:
+        for row in w:
             row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row dst += c * row src
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + c * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in right:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
 
     n = min(rows, cols)
     for t in range(n):
@@ -158,54 +143,56 @@ def smith_normal_form(mat: IntegerMatrix) -> SmithNormalForm:
         pivot = None
         for i in range(t, rows):
             for j in range(t, cols):
-                v = abs(a[i][j])
+                v = abs(w[i][j])
                 if v and (pivot is None or v < pivot[0]):
                     pivot = (v, i, j)
         if pivot is None:
             break
         _, pi, pj = pivot
         if pi != t:
-            swap_rows(t, pi)
+            w[t], w[pi] = w[pi], w[t]
         if pj != t:
             swap_cols(t, pj)
         while True:
             # clear column t, then row t, restarting while remainders appear
             dirty = False
             for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    if w[i][t]:
+                        w[t], w[i] = w[i], w[t]
                         dirty = True
             if dirty:
                 continue
             for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
+                if w[t][j]:
+                    q = w[t][j] // w[t][t]
+                    for row in w:
+                        row[j] -= q * row[t]
+                    if w[t][j]:
                         swap_cols(t, j)
                         dirty = True
             if dirty:
                 continue
             # enforce divisibility of the remaining block by the pivot
             culprit = None
-            d = a[t][t]
+            d = w[t][t]
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):
-                    if a[i][j] % d:
+                    if w[i][j] % d:
                         culprit = i
                         break
                 if culprit is not None:
                     break
             if culprit is None:
                 break
-            add_row(culprit, t, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-    diag = tuple(a[i][i] for i in range(n))
-    return SmithNormalForm(diag, IntegerMatrix(left), IntegerMatrix(right))
+            w[t] = [x + y for x, y in zip(w[t], w[culprit])]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+    diag = tuple(w[i][i] for i in range(n))
+    return SmithNormalForm(diag, IntegerMatrix(row[cols:] for row in w[:rows]),
+                           IntegerMatrix(row[:cols] for row in w[rows:]))
 
 
 @dataclass(frozen=True)
@@ -315,9 +302,10 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     The table is one flat list: entry ``c * width + x`` is the coset reached
     from ``c`` by letter ``x``, or -1.  Coincidences are processed as in COINC
     (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 5.1), after
-    which rows of live cosets name only live cosets; so a scan reads entries
-    directly, and the union-find is consulted only while coincidences are
-    processed and when the table is compacted.
+    which rows of live cosets name only live cosets; so a scan, and the
+    compaction of a closed table, read entries directly, and the union-find
+    is consulted only while coincidences are processed.  A live row that
+    names a dead coset breaks that invariant and raises ``AssertionError``.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
@@ -357,11 +345,6 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
         table[alpha * width + x] = beta
         table[beta * width + (x ^ 1)] = alpha
         return beta
-
-    def find(c: int) -> int:
-        while rep[c] != c:
-            rep[c] = c = rep[rep[c]]
-        return c
 
     def coincidence(alpha: int, beta: int) -> None:
         """Merge two live cosets and every coincidence that follows."""
@@ -467,9 +450,14 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
         return CosetTable("budget", gens, (), None, live, defined, **counts)
 
     renumber = {c: k for k, c in enumerate(live_ids)}
-    compact = tuple(
-        tuple(renumber[find(table[c * width + x])] for x in range(width))
-        for c in live_ids)
+    try:
+        compact = tuple(
+            tuple(renumber[d] for d in table[c * width:(c + 1) * width])
+            for c in live_ids)
+    except KeyError as exc:
+        raise AssertionError(
+            f"a live coset row names coset {exc.args[0]}, which is not live"
+        ) from None
     # over a trivial subgroup the index is the group order
     order = None if subgroup_scans else live
     return CosetTable("closed", gens, compact, order, live, defined, **counts)

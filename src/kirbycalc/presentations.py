@@ -30,7 +30,8 @@ def _as_word(value) -> Word:
         return Word.from_text(value)
     try:
         letters = [(sym, sign) for sym, sign in value]
-        ok = all(isinstance(sym, str) and sign in (1, -1) for sym, sign in letters)
+        ok = all(isinstance(sym, str) and type(sign) is int and sign in (1, -1)
+                 for sym, sign in letters)
     except (TypeError, ValueError):
         ok = False
     if not ok:

@@ -1,17 +1,19 @@
 """Independent brute-force oracles used by the test suite.
 
 Nothing here imports the code paths under test: Smith normal forms are
-checked through determinantal divisors, slope classification through exact
-curve tracing on the flat pillowcase, intersection numbers by literally
-counting crossings in a fundamental domain, and the trivialization search
-against a dumb exhaustive BFS on raw presentations.  The search keys are
-checked against the plain tuple implementation the byte-level kernel
-replaced, and the coset enumerator against the list-of-rows implementation
-the flat table replaced (it borrows only the package's letter coding and
-result type).  The successor generator the search used before it pruned
-children that cannot add a node is kept as ``ref_expand``; it borrows the
-search kernel's word primitives, which the tests check against plain free
-reduction.
+checked through determinantal divisors and against the three-matrix
+elimination that the one augmented matrix replaced (it borrows only the
+package's result types), slope classification through exact curve tracing
+on the flat pillowcase, intersection numbers by literally counting
+crossings in a fundamental domain, and the trivialization search against a
+dumb exhaustive BFS on raw presentations.  The search keys are checked
+against the plain tuple implementation the byte-level kernel replaced, and
+the coset enumerator against the list-of-rows implementation the flat
+table replaced (it borrows only the package's letter coding and result
+type).  The successor generator the search used before it pruned children
+that cannot add a node is kept as ``ref_expand``; it borrows the search
+kernel's word primitives, which the tests check against plain free
+reduction, ``ref_reduce_word``.
 """
 
 from fractions import Fraction as F
@@ -20,7 +22,7 @@ from math import gcd
 from typing import Optional
 
 from kirbycalc.acsearch import kernel
-from kirbycalc.certify import CosetTable
+from kirbycalc.certify import CosetTable, IntegerMatrix, SmithNormalForm
 from kirbycalc.presentations import Presentation
 from kirbycalc.words import encode_word, letter_codes
 
@@ -331,6 +333,17 @@ def brute_force_trivializable(generators, relators, max_total, max_depth,
 # letter, once per generator permutation.  A key is one byte n_gens, then
 # each relator of the least form followed by the terminator 0xFF.
 
+def ref_reduce_word(seq):
+    """Free reduction of a sequence of letter codes, by a stack, as bytes."""
+    stack = []
+    for a in seq:
+        if stack and stack[-1] == a ^ 1:
+            stack.pop()
+        else:
+            stack.append(a)
+    return bytes(stack)
+
+
 def _ref_cyclic_core(word):
     i, j = 0, len(word) - 1
     while i < j and word[i] == word[j] ^ 1:
@@ -477,6 +490,108 @@ def ref_expand(rels, cfg, base_gens):
         yield {"move": "destabilize", "i": i}, None, tuple(
             bytes(a - 2 if a >> 1 > sym else a for a in r)
             for k, r in enumerate(rels) if k != i)
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form: the reference three-matrix implementation
+# ---------------------------------------------------------------------------
+# The elimination as it stood before the one-augmented-matrix rewrite: the
+# working matrix and the two transforms are kept apart, and every row or
+# column operation is applied to each.  The rewrite must give the same
+# SmithNormalForm, transforms included.  It uses the package's result
+# types, not its elimination.
+
+def ref_smith_normal_form(mat: IntegerMatrix) -> SmithNormalForm:
+    """Diagonalize by unimodular row/column operations.
+
+    Returns (diagonal, left, right) with left * mat * right diagonal,
+    nonnegative entries in a divisibility chain, and det(left), det(right)
+    in {1, -1}.
+    """
+    rows, cols = mat.rows, mat.cols
+    a = [list(r) for r in mat.entries]
+    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in right:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        # row dst += c * row src
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        left[dst] = [x + c * y for x, y in zip(left[dst], left[src])]
+
+    def add_col(src, dst, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in right:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        left[i] = [-x for x in left[i]]
+
+    n = min(rows, cols)
+    for t in range(n):
+        # smallest nonzero entry in the remaining block becomes the pivot
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = abs(a[i][j])
+                if v and (pivot is None or v < pivot[0]):
+                    pivot = (v, i, j)
+        if pivot is None:
+            break
+        _, pi, pj = pivot
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        while True:
+            # clear column t, then row t, restarting while remainders appear
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    add_row(t, i, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(t, j, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # enforce divisibility of the remaining block by the pivot
+            culprit = None
+            d = a[t][t]
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % d:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            add_row(culprit, t, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+    diag = tuple(a[i][i] for i in range(n))
+    return SmithNormalForm(diag, IntegerMatrix(left), IntegerMatrix(right))
 
 
 # ---------------------------------------------------------------------------

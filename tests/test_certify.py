@@ -8,12 +8,13 @@ from kirbycalc.certify import (AbelianGroup, IntegerMatrix, MatrixError,
                                abelianization, certification_report, exponent_matrix,
                                h1_from_matrix, smith_normal_form,
                                todd_coxeter, verify_coset_table)
+from kirbycalc.framedlinks import PLAIN, Component, FramedLinkModel
 from kirbycalc.presentations import (BalancedPresentation, Presentation,
                                      PresentationError, ac_conjugate,
                                      ac_invert, ac_multiply, ak_presentation)
 from kirbycalc.words import UnknownGeneratorError, Word
 
-from oracles import invariant_factors, ref_todd_coxeter
+from oracles import invariant_factors, ref_smith_normal_form, ref_todd_coxeter
 
 
 class TestExponentMatrix:
@@ -77,6 +78,65 @@ class TestSmithNormalForm:
             for d in result.diagonal:
                 prod *= d
             assert prod == abs(mat.det())
+
+
+@st.composite
+def small_matrices(draw):
+    """0-6 rows by 0-6 columns, entries in [-6, 6], often zero.  A matrix
+    with no rows is IntegerMatrix([]), which is 0 x 0, so 0 x k is drawn as
+    0 x 0; k x 0 is k empty rows."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    return IntegerMatrix([[draw(entry) for _ in range(cols)]
+                          for _ in range(rows)])
+
+
+def _chain_linkings(rng, k, slides):
+    """Linking matrices of a chain of k unknots, each linking the next once,
+    framings +-2..4, before and after random handle slides."""
+    m = [[0] * k for _ in range(k)]
+    for i in range(k):
+        m[i][i] = rng.choice((-4, -3, -2, 2, 3, 4))
+        if i + 1 < k:
+            m[i][i + 1] = m[i + 1][i] = 1
+    model = FramedLinkModel([Component(PLAIN, m[i][i], True)
+                             for i in range(k)], m)
+    before = IntegerMatrix(model.linking)
+    for _ in range(slides):
+        u, v = rng.sample(range(k), 2)
+        model = model.slide(u, v, rng.choice((1, -1)))
+    return before, IntegerMatrix(model.linking)
+
+
+class TestSmithNormalFormAgainstReference:
+    """The one-augmented-matrix elimination gives the same SmithNormalForm,
+    field for field and transforms included, as the three-matrix
+    implementation it replaced."""
+
+    @staticmethod
+    def _same_as_reference(mat):
+        got, ref = check_snf(mat), ref_smith_normal_form(mat)
+        assert got.diagonal == ref.diagonal
+        assert got.left == ref.left
+        assert got.right == ref.right
+
+    @given(small_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_small_matrices(self, mat):
+        self._same_as_reference(mat)
+
+    @pytest.mark.parametrize("entries", [
+        [], [[]], [[], [], []], [[0] * 5] * 2, [[0] * 2] * 5, [[0]],
+    ], ids=["0x0", "1x0", "3x0", "zero-2x5", "zero-5x2", "zero-1x1"])
+    def test_empty_and_zero(self, entries):
+        self._same_as_reference(IntegerMatrix(entries))
+
+    @pytest.mark.parametrize("k", [15, 20, 25, 30])
+    def test_kirby_chain_matrices(self, k):
+        # five slides, as in a perfbench certify-heavy Kirby script; a few
+        # dozen can grow the transforms' entries to 10^5 bits and more
+        for mat in _chain_linkings(random.Random(k), k, slides=5):
+            self._same_as_reference(mat)
 
 
 class TestH1:

@@ -95,6 +95,15 @@ class TestCertify:
             assert proc.returncode == 1
             assert proc.stderr == "error: unknown generator symbol 'p'\n"
 
+    @pytest.mark.parametrize("command", ["certify", "abelianization",
+                                         "ac-search"])
+    def test_float_sign_is_a_bad_word(self, capsys, tmp_path, command):
+        path = write(tmp_path, "p.json", {"generators": ["x", "y"],
+                                          "relators": [[["x", 1.0]], "x"]})
+        code, out, err = run(capsys, command, path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad word [['x', 1.0]]")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "/nonexistent.json")
         assert code == 1 and "cannot read" in err

@@ -57,6 +57,12 @@ class TestStructure:
         with pytest.raises(PresentationError, match="bad word"):
             Presentation(("x",), (rel,))
 
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+    def test_letter_signs_are_ints(self, sign):
+        # bools and floats compare equal to +-1 but are not signs
+        with pytest.raises(PresentationError, match="bad word"):
+            Presentation(("x",), [[("x", sign)]])
+
     def test_relator_as_letters(self):
         p = Presentation(("x", "y"), ([("x", 1), ("y", -1)],))
         assert texts(p) == ["x Y"]
