@@ -55,11 +55,10 @@ class TraceError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds of one search.
-
-    The search runs in one thread.  ``workers`` is validated (>= 1) and
-    reported, but does not change the run or its results.
-    """
+    """Bounds of one search, each an ``int`` (not a ``bool``) no smaller
+    than its least value: 1 for ``node_budget`` and ``workers``, else 0.
+    The search runs in one thread: ``workers`` changes nothing, and stays
+    only as an input of the benchmark's ac-wide workload (``workers=2``)."""
 
     max_total_length: int
     max_depth: int
@@ -69,14 +68,12 @@ class SearchConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("max_total_length", "max_depth", "conjugator_depth",
-                     "stabilizations"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.node_budget < 1:
-            raise ValueError("node_budget must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name, least in (("max_total_length", 0), ("max_depth", 0),
+                            ("conjugator_depth", 0), ("node_budget", 1),
+                            ("stabilizations", 0), ("workers", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -307,8 +307,8 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     is consulted only while coincidences are processed.  A live row that
     names a dead coset breaks that invariant and raises ``AssertionError``.
     """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be >= 1")
+    if type(max_cosets) is not int or max_cosets < 1:
+        raise ValueError("max_cosets must be an integer >= 1")
     gens = p.generators
     codes = letter_codes(gens)
     width = 2 * len(gens)
@@ -466,7 +466,9 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
 def verify_coset_table(result: CosetTable, p: Presentation) -> bool:
     """Independent check of a closed table: inverse-consistency, columns are
     permutations, all cosets reachable from 0, every relator traces to the
-    identity at every coset, and every subgroup word fixes coset 0."""
+    identity at every coset, and every subgroup word fixes coset 0.  This
+    proves a lower bound only (index >= rows): a one-row table passes for
+    any presentation, so order 1 rests on ``todd_coxeter`` closing."""
     if not result.closed():
         raise ValueError("only closed tables can be verified")
     table = result.table
@@ -512,7 +514,9 @@ def certification_report(p: Presentation, max_cosets: int = 100_000) -> dict:
     subgroup.  Every other outcome (index above 1, budget, or a nontrivial
     abelianization) enumerates the cosets of the trivial subgroup, whose
     index is the order.  The order of a perfect group is thus never read
-    off the index of <x>.
+    off the index of <x>.  ``verified`` proves only that the index is at
+    least the number of rows (see ``verify_coset_table``), so order 1 rests
+    on ``todd_coxeter`` closing.
     """
     abel = abelianization(p)
     coset = None

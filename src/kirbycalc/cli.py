@@ -30,6 +30,8 @@ def _load_json(path: str):
         raise SystemExit(f"error: cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise SystemExit(f"error: {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise SystemExit(f"error: {path} is nested too deeply")
 
 
 def _emit(data) -> None:
@@ -48,7 +50,6 @@ def _search_flags(sub) -> None:
     sub.add_argument("--budget", dest="node_budget", **given_int,
                      help="node expansion budget")
     sub.add_argument("--stabilizations", **given_int)
-    sub.add_argument("--threads", dest="workers", **given_int)
 
 
 def _search_overrides(args) -> dict:

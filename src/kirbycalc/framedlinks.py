@@ -9,7 +9,6 @@ unknotted mark on the component.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -297,9 +296,6 @@ class FramedLinkModel:
         except (KeyError, TypeError) as exc:
             raise ModelError(f"model JSON missing field: {exc}")
         return cls(comps, linking)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ the search layer, not here.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Sequence
 
 from .words import (IDENTITY, Word, check_symbols, cyclic_reduce,
@@ -97,9 +96,6 @@ class Presentation:
             raise PresentationError(
                 "presentation JSON 'generators' and 'relators' must be lists")
         return cls(gens, rels)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 class BalancedPresentation(Presentation):
@@ -194,8 +190,8 @@ def ak_presentation(n: int, w="y x") -> BalancedPresentation:
     ``w`` is any nonempty word in x, y; the n-th member stores the relators
     as the free reductions of Y w^-1 x w and x^(n+1) Y^n.
     """
-    if n < 0:
-        raise ValueError(f"family index must be >= 0, got {n}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"family index must be an integer >= 0, got {n!r}")
     w = _as_word(w)
     if not w:
         raise ValueError("conjugating word w must be nonempty")

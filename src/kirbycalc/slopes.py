@@ -42,6 +42,8 @@ class Slope:
     q: int
 
     def __post_init__(self):
+        if type(self.p) is not int or type(self.q) is not int:
+            raise SlopeError(f"{self.p!r}/{self.q!r}: p and q must be integers")
         if (self.p, self.q) == (0, 0):
             raise SlopeError("0/0 is not a slope")
         if self.q < 0:
@@ -135,8 +137,8 @@ def geometric_intersection(s1: Slope, s2: Slope) -> int:
 def enumerate_candidates(max_q: int) -> list[Slope]:
     """All candidate slopes with q <= max_q and |p| <= max(max_q, 1),
     sorted by value."""
-    if max_q < 0:
-        raise SlopeError("max_q must be >= 0")
+    if type(max_q) is not int or max_q < 0:
+        raise SlopeError("max_q must be an integer >= 0")
     p_cap = max(max_q, 1)
     pool = [Slope(p, q) for q in range(1, max_q + 1)
             for p in range(-p_cap, p_cap + 1) if gcd(abs(p), q) == 1]

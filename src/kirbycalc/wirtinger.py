@@ -9,7 +9,6 @@ unions of edges joined by passing over a crossing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -187,9 +186,6 @@ class PDCode:
             if any(type(e) is not int for e in labels):
                 raise PDCodeError(f"edge labels must be integers, got {list(labels)}")
         return cls(xs, comps)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def wirtinger_presentation(pd: PDCode) -> Presentation:

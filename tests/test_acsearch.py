@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -506,6 +507,13 @@ class TestSearch:
             SearchConfig(max_total_length=1, max_depth=1, node_budget=0)
         with pytest.raises(ValueError):
             SearchConfig(max_total_length=1, max_depth=1, workers=0)
+
+    @pytest.mark.parametrize("value", [True, 2.0, "3"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(SearchConfig)])
+    def test_config_bounds_are_ints(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SearchConfig(**{"max_total_length": 12, "max_depth": 2,
+                            name: value})
 
 
 class TestLongRelators:

@@ -201,6 +201,13 @@ class TestCosetEnumeration:
         with pytest.raises(ValueError):
             todd_coxeter(Presentation(("x",), ("x",)), 0)
 
+    @pytest.mark.parametrize("budget", [True, 2.5, 100.0])
+    def test_budget_is_an_int(self, budget):
+        with pytest.raises(ValueError, match="max_cosets must be an integer"):
+            todd_coxeter(Presentation(("x",), ("x",)), budget)
+        with pytest.raises(ValueError, match="max_cosets must be an integer"):
+            certification_report(ak_presentation(2), budget)
+
     def test_quaternion_order_eight(self):
         p = Presentation(("a", "b"), ("a a a a", "a a B B", "B a b a"))
         table = todd_coxeter(p, 1000)

@@ -109,6 +109,24 @@ class TestCertify:
         assert code == 1 and "cannot read" in err
 
 
+class TestDeepJson:
+    """A file nested past the JSON parser's recursion limit is bad input
+    for every command that reads one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "DEEP"], ["abelianization", "DEEP"], ["ac-search", "DEEP"],
+        ["wirtinger", "DEEP"], ["kirby", "check", "DEEP"],
+        ["kirby", "h1", "DEEP"], ["kirby", "apply", "DEEP", "MODEL"],
+        ["kirby", "apply", "MODEL", "DEEP"]])
+    def test_exit_one_without_traceback(self, capsys, tmp_path, zero2, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        paths = {"DEEP": str(deep), "MODEL": zero2}
+        code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 1 and out == ""
+        assert err == f"error: {deep} is nested too deeply\n"
+
+
 class TestAcSearch:
     def test_search_outcome(self, capsys, tmp_path):
         path = write(tmp_path, "p.json",
@@ -129,11 +147,18 @@ class TestAcSearch:
             "node_budget": 5000, "stabilizations": 0, "workers": 1}
         _, out, _ = run(capsys, "ac-search", path, "--max-total-length", "7",
                         "--max-depth", "3", "--conj-depth", "2",
-                        "--budget", "40", "--stabilizations", "1",
-                        "--threads", "2")
+                        "--budget", "40", "--stabilizations", "1")
         assert json.loads(out)["config"] == {
             "max_total_length": 7, "max_depth": 3, "conjugator_depth": 2,
-            "node_budget": 40, "stabilizations": 1, "workers": 2}
+            "node_budget": 40, "stabilizations": 1, "workers": 1}
+
+    def test_threads_flag_is_gone(self, capsys, tmp_path):
+        path = write(tmp_path, "p.json",
+                     {"generators": ["x", "y"], "relators": ["x y", "y"]})
+        for argv in (("ac-search", path), ("pipeline", "--n", "1")):
+            code, out, err = run(capsys, *argv, "--threads", "1")
+            assert code == 1 and out == ""
+            assert "unrecognized arguments: --threads 1" in err
 
     def test_exhausted_is_still_exit_zero(self, capsys, tmp_path):
         path = write(tmp_path, "p.json",
@@ -348,6 +373,10 @@ class TestPipeline:
         code, _, _ = run(capsys, "pipeline")
         assert code == 1
 
+    def test_bool_index_refused(self):
+        with pytest.raises(ValueError, match="family index must be an integer"):
+            run_pipeline(True)
+
     def test_bad_max_q_refused_before_any_work(self, monkeypatch):
         calls = []
         monkeypatch.setattr(pipeline, "certification_report",
@@ -384,7 +413,7 @@ def _well_formed(draw):
 
 _search_flags = st.lists(
     st.tuples(st.sampled_from(["--max-depth", "--conj-depth", "--budget",
-                               "--stabilizations", "--threads"]),
+                               "--stabilizations"]),
               st.integers(min_value=-2, max_value=2))
     | st.tuples(st.just("--max-total-length"),
                 st.integers(min_value=-5, max_value=40)),

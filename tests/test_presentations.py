@@ -183,6 +183,11 @@ class TestFamily:
         with pytest.raises(ValueError):
             ak_presentation(-1, "y x")
 
+    @pytest.mark.parametrize("n", [True, 2.5, 2.0, "2"])
+    def test_index_is_an_int(self, n):
+        with pytest.raises(ValueError, match="family index must be an integer"):
+            ak_presentation(n)
+
 
 class TestTietze:
     def test_eliminates_defined_generator(self):

@@ -28,6 +28,11 @@ class TestSlopeType:
         with pytest.raises(SlopeError):
             Slope(1, -2)
 
+    @pytest.mark.parametrize("p, q", [(True, 1), (1, True), (1.0, 1), (1, 2.0)])
+    def test_terms_are_ints(self, p, q):
+        with pytest.raises(SlopeError, match="must be integers"):
+            Slope(p, q)
+
     def test_make_normalizes(self):
         assert Slope.make(2, 4) == Slope(1, 2)
         assert Slope.make(-3, 0) == Slope(1, 0)
@@ -141,6 +146,11 @@ class TestEnumerate:
     def test_small_values(self):
         assert enumerate_candidates(0) == []
         assert enumerate_candidates(1) == [Slope(-1, 1), Slope(0, 1), Slope(1, 1)]
+
+    @pytest.mark.parametrize("max_q", [1.5, True, "2"])
+    def test_max_q_is_an_int(self, max_q):
+        with pytest.raises(SlopeError, match="max_q must be an integer"):
+            enumerate_candidates(max_q)
 
     def test_excludes_vertical(self):
         assert Slope(1, 0) not in enumerate_candidates(5)
