@@ -2,6 +2,7 @@
 
 Exit codes: 0 = ran to completion (search exhaustion is a finding, not a
 failure), 1 = usage or input error, 2 = internal invariant violation.
+Bad input raises ValueError where it is found; ``main`` alone reports it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .presentations import BalancedPresentation, Presentation
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(f"error: {message}")
+        raise ValueError(message)
 
 
 def _load_json(path: str):
@@ -27,11 +28,11 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: {path} is not valid JSON: {exc}")
+        raise ValueError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
-        raise SystemExit(f"error: {path} is nested too deeply")
+        raise ValueError(f"{path} is nested too deeply")
 
 
 def _emit(data) -> None:
@@ -143,7 +144,7 @@ def _parse_framings(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise SystemExit(f"error: bad framings {text!r}: expected integers "
+        raise ValueError(f"bad framings {text!r}: expected integers "
                          "separated by commas")
 
 
@@ -163,10 +164,7 @@ def _cmd_kirby(args) -> int:
     model = framedlinks.FramedLinkModel.from_json(_load_json(args.model))
     if args.kirby_command == "apply":
         script = _load_json(args.script)
-        if not isinstance(script, list):
-            raise SystemExit("error: move script must be a JSON array")
-        result = framedlinks.apply_script(model, script)
-        _emit(result.to_json())
+        _emit(framedlinks.apply_script(model, script).to_json())
     elif args.kirby_command == "check":
         _emit(model.gpr_hypothesis_check().to_json())
     else:
@@ -204,11 +202,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        if exc.code and not isinstance(exc.code, int):
-            sys.stderr.write(str(exc.code) + "\n")
-            return 1
-        return exc.code or 0
+    except SystemExit as exc:   # --help
+        return exc.code
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

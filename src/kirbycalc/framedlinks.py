@@ -290,6 +290,8 @@ class FramedLinkModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "FramedLinkModel":
+        if not isinstance(data, dict):
+            raise ModelError(f"a model is a JSON object, got {type(data).__name__}")
         try:
             comps = [Component.from_json(c) for c in data["components"]]
             linking = data["linking"]
@@ -308,36 +310,38 @@ class GprReport:
                 "nonzero_entries": [list(e) for e in self.nonzero_entries]}
 
 
-MOVES = ("slide", "slide_over_dotted", "blow_up", "blow_down",
-         "add_distant_unknot", "add_hopf_pair", "remove_hopf_pair")
+# move kind -> its FramedLinkModel method and parameters, in call order
+_MOVE_TABLE = {
+    "slide": (FramedLinkModel.slide, ("u", "v", "sign")),
+    "slide_over_dotted": (FramedLinkModel.slide_over_dotted, ("h", "d", "sign")),
+    "blow_up": (FramedLinkModel.blow_up, ("sign",)),
+    "blow_down": (FramedLinkModel.blow_down, ("i",)),
+    "add_distant_unknot": (FramedLinkModel.add_distant_unknot, ()),
+    "add_hopf_pair": (FramedLinkModel.add_hopf_pair, ()),
+    "remove_hopf_pair": (FramedLinkModel.remove_hopf_pair, ("d", "h")),
+}
+MOVES = tuple(_MOVE_TABLE)
 
 
 def apply_move(model: FramedLinkModel, move: dict) -> FramedLinkModel:
     if not isinstance(move, dict):
         raise IllegalMove(f"a move is a JSON object, got {move!r}")
     kind = move.get("move")
+    # a tuple test: the kind may be any JSON value, a list included
+    if kind not in MOVES:
+        raise IllegalMove(f"unknown move kind {kind!r} (expected one of {MOVES})")
+    method, params = _MOVE_TABLE[kind]
     try:
-        if kind == "slide":
-            return model.slide(move["u"], move["v"], move.get("sign", 1))
-        if kind == "slide_over_dotted":
-            return model.slide_over_dotted(move["h"], move["d"], move.get("sign", 1))
-        if kind == "blow_up":
-            return model.blow_up(move.get("sign", 1))
-        if kind == "blow_down":
-            return model.blow_down(move["i"])
-        if kind == "add_distant_unknot":
-            return model.add_distant_unknot()
-        if kind == "add_hopf_pair":
-            return model.add_hopf_pair()
-        if kind == "remove_hopf_pair":
-            return model.remove_hopf_pair(move["d"], move["h"])
+        args = [move.get(p, 1) if p == "sign" else move[p] for p in params]
     except KeyError as exc:
         raise IllegalMove(f"move {kind!r} is missing parameter {exc}")
-    raise IllegalMove(f"unknown move kind {kind!r} (expected one of {MOVES})")
+    return method(model, *args)
 
 
 def apply_script(model: FramedLinkModel, script) -> FramedLinkModel:
     """Apply a move script (list of tagged move records) in order."""
+    if not isinstance(script, list):
+        raise IllegalMove("move script must be a JSON array")
     current = model
     for step, move in enumerate(script):
         try:

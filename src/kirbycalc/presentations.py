@@ -87,10 +87,13 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
+        if not isinstance(data, dict):
+            raise PresentationError(
+                f"a presentation is a JSON object, got {type(data).__name__}")
         try:
             gens = data["generators"]
             rels = data["relators"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise PresentationError(f"presentation JSON missing field: {exc}")
         if not (isinstance(gens, list) and isinstance(rels, list)):
             raise PresentationError(

@@ -34,6 +34,11 @@ class SlopeError(ValueError):
     pass
 
 
+def _check_terms(p, q) -> None:
+    if type(p) is not int or type(q) is not int:
+        raise SlopeError(f"{p!r}/{q!r}: p and q must be integers")
+
+
 @dataclass(frozen=True, order=True)
 class Slope:
     """Reduced rational p/q with q >= 0; 1/0 is the slope at infinity."""
@@ -42,8 +47,7 @@ class Slope:
     q: int
 
     def __post_init__(self):
-        if type(self.p) is not int or type(self.q) is not int:
-            raise SlopeError(f"{self.p!r}/{self.q!r}: p and q must be integers")
+        _check_terms(self.p, self.q)
         if (self.p, self.q) == (0, 0):
             raise SlopeError("0/0 is not a slope")
         if self.q < 0:
@@ -55,6 +59,7 @@ class Slope:
 
     @classmethod
     def make(cls, p: int, q: int) -> "Slope":
+        _check_terms(p, q)
         if q == 0 and p == 0:
             raise SlopeError("0/0 is not a slope")
         if q < 0:

@@ -177,6 +177,9 @@ class PDCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "PDCode":
+        if not isinstance(data, dict):
+            raise PDCodeError(
+                f"a PD code is a JSON object, got {type(data).__name__}")
         try:
             xs = [(tuple(c["arcs"]), c["sign"]) for c in data["crossings"]]
             comps = [tuple(c) for c in data["components"]]

@@ -305,6 +305,26 @@ class TestSubgroupEnumeration:
         wrong = dataclasses.replace(over_x, subgroup=(Word.from_text("y"),))
         assert not verify_coset_table(wrong, p)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda t: ((*t[0], 0),) + t[1:],
+        lambda t: ((6,) + t[0][1:],) + t[1:],
+        lambda t: ((-1,) + t[0][1:],) + t[1:],
+        lambda t: ((2,) + t[0][1:],) + t[1:],
+        lambda t: t + tuple(tuple(d + len(t) for d in row) for row in t),
+        lambda t: tuple((y, Y, x, X) for x, X, y, Y in t),
+    ], ids=["row-width", "entry-too-large", "entry-negative", "not-inverse",
+            "unreachable-copy", "relator-fails"])
+    def test_verify_rejects_a_broken_table(self, mutate):
+        # each mutation of S3's regular table breaks one property that
+        # verify checks; the last swaps the columns of x (order 2) and y
+        # (order 3), so the table stays consistent and reachable but the
+        # relators "x x" and "y y y" no longer trace to the identity
+        p, _ = FINITE_GROUPS["S3"]
+        regular = todd_coxeter(p, 1000)
+        assert regular.order == 6 and verify_coset_table(regular, p)
+        broken = dataclasses.replace(regular, table=mutate(regular.table))
+        assert not verify_coset_table(broken, p)
+
     def test_subgroup_words_are_checked(self):
         p, _ = FINITE_GROUPS["S3"]
         with pytest.raises(UnknownGeneratorError):

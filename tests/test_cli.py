@@ -127,6 +127,47 @@ class TestDeepJson:
         assert err == f"error: {deep} is nested too deeply\n"
 
 
+class TestErrorReport:
+    """main writes the one error line for every bad input: a usage error
+    after argparse's usage line, a file that cannot be parsed, and a file
+    whose top level is not a JSON object."""
+
+    def test_usage_error(self, capsys):
+        code, out, err = run(capsys, "pipeline")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: kirbycalc pipeline [-h] --n N")
+        assert err.endswith(
+            "\nerror: the following arguments are required: --n\n")
+
+    def test_help_exits_zero(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: kirbycalc") and err == ""
+
+    def test_invalid_json(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{nope")
+        code, out, err = run(capsys, "certify", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path} is not valid JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, what", [
+        (["certify", "BAD"], "presentation"),
+        (["abelianization", "BAD"], "presentation"),
+        (["ac-search", "BAD"], "presentation"),
+        (["wirtinger", "BAD"], "PD code"),
+        (["kirby", "check", "BAD"], "model"),
+        (["kirby", "h1", "BAD"], "model"),
+        (["kirby", "apply", "BAD", "BAD"], "model")])
+    @pytest.mark.parametrize("data, kind", [([1, 2], "list"), ("x", "str")])
+    def test_top_level_must_be_an_object(self, capsys, tmp_path, argv, what,
+                                         data, kind):
+        path = write(tmp_path, "bad.json", data)
+        code, out, err = run(capsys, *[path if a == "BAD" else a for a in argv])
+        assert code == 1 and out == ""
+        assert err == f"error: a {what} is a JSON object, got {kind}\n"
+
+
 class TestAcSearch:
     def test_search_outcome(self, capsys, tmp_path):
         path = write(tmp_path, "p.json",
@@ -242,6 +283,69 @@ class TestKirby:
             code, out, err = run(capsys, "kirby", command, path)
             assert code == 1 and err.startswith("error:") and not out
             assert "Traceback" not in err
+
+    def test_hopf_pair_script_returns_the_input(self, capsys, tmp_path):
+        """The moves of the weaker Property 2R: a canceling Hopf pair is
+        added, its 2-handle slid over the dotted circle and back, and the
+        pair removed, which gives back the input; a distant 0-framed unknot
+        adds one free summand to H1."""
+        plain = [{"kind": "plain", "framing": f, "unknotted": True}
+                 for f in (2, -3, 0)]
+        data = {"components": plain[:2], "linking": [[2, 1], [1, -3]]}
+        model = write(tmp_path, "model.json", data)
+        pair = [{"move": "add_hopf_pair"},
+                {"move": "slide_over_dotted", "h": 3, "d": 2},
+                {"move": "slide_over_dotted", "h": 3, "d": 2, "sign": -1},
+                {"move": "remove_hopf_pair", "d": 2, "h": 3}]
+
+        def apply(script):
+            code, out, err = run(capsys, "kirby", "apply", model,
+                                 write(tmp_path, "script.json", script))
+            assert code == 0 and err == ""
+            return json.loads(out)
+
+        slid = apply(pair[:2])
+        assert slid["components"][2:] == [{"kind": "dotted"},
+                                          {**plain[2], "framing": 2}]
+        assert slid["linking"][3] == [0, 0, 1, 2]
+        assert apply(pair) == data
+        after = apply(pair + [{"move": "add_distant_unknot"}])
+        assert after == {"components": plain,
+                         "linking": [[2, 1, 0], [1, -3, 0], [0, 0, 0]]}
+        h1 = {}
+        for name, result in (("before", data), ("after", after)):
+            code, out, _ = run(capsys, "kirby", "h1",
+                               write(tmp_path, f"{name}.json", result))
+            assert code == 0
+            h1[name] = json.loads(out)
+        assert h1 == {"before": {"rank": 0, "torsion": [7]},
+                      "after": {"rank": 1, "torsion": [7]}}
+
+    # every move kind, in the order the unknown-kind message lists them,
+    # with the parameters a record must give ("sign" defaults to +1)
+    REQUIRED = {"slide": ("u", "v"), "slide_over_dotted": ("h", "d"),
+                "blow_up": (), "blow_down": ("i",), "add_distant_unknot": (),
+                "add_hopf_pair": (), "remove_hopf_pair": ("d", "h")}
+
+    def test_move_kinds(self):
+        assert framedlinks.MOVES == tuple(self.REQUIRED)
+
+    @pytest.mark.parametrize("kind, missing", [
+        (kind, p) for kind, params in REQUIRED.items() for p in params])
+    def test_missing_parameter(self, capsys, zero2, tmp_path, kind, missing):
+        record = {"move": kind,
+                  **{p: 0 for p in self.REQUIRED[kind] if p != missing}}
+        code, out, err = run(capsys, "kirby", "apply", zero2,
+                             write(tmp_path, "script.json", [record]))
+        assert code == 1 and out == ""
+        assert err == (f"error: script step 0: move {kind!r} is missing "
+                       f"parameter {missing!r}\n")
+
+    def test_script_must_be_an_array(self, capsys, zero2, tmp_path):
+        code, out, err = run(capsys, "kirby", "apply", zero2,
+                             write(tmp_path, "script.json", {"move": "blow_up"}))
+        assert code == 1 and out == ""
+        assert err == "error: move script must be a JSON array\n"
 
     @pytest.mark.parametrize("script", [
         [5], [{"move": "slide", "u": "a", "v": 0}],

@@ -60,6 +60,13 @@ class TestModelInvariants:
             with pytest.raises(ModelError):
                 FramedLinkModel.from_json(data)
 
+    @pytest.mark.parametrize("data, kind", [([1, 2], "list"), ("x", "str"),
+                                            (5, "int")])
+    def test_json_top_level_must_be_an_object(self, data, kind):
+        with pytest.raises(ModelError,
+                           match=f"^a model is a JSON object, got {kind}$"):
+            FramedLinkModel.from_json(data)
+
     def test_json_roundtrip(self):
         m = zero_model(2).add_hopf_pair().blow_up(-1)
         data = json.loads(json.dumps(m.to_json()))
@@ -236,6 +243,13 @@ class TestScripts:
         with pytest.raises(IllegalMove) as err:
             apply_script(zero_model(2), [{"move": "slide", "u": 0, "v": 0}])
         assert "step 0" in str(err.value)
+
+    @pytest.mark.parametrize("script", ["ab", 5, None, {"move": "blow_up"},
+                                        ({"move": "blow_up"},)])
+    def test_script_must_be_a_list(self, script):
+        with pytest.raises(IllegalMove,
+                           match="^move script must be a JSON array$"):
+            apply_script(zero_model(1), script)
 
     def test_unknown_move(self):
         with pytest.raises(IllegalMove):

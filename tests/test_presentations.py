@@ -71,6 +71,13 @@ class TestStructure:
         with pytest.raises(PresentationError, match="must be lists"):
             Presentation.from_json({"generators": 5, "relators": []})
 
+    @pytest.mark.parametrize("data, kind", [([1, 2], "list"), ("x", "str"),
+                                            (5, "int"), (None, "NoneType")])
+    def test_json_top_level_must_be_an_object(self, data, kind):
+        with pytest.raises(PresentationError,
+                           match=f"^a presentation is a JSON object, got {kind}$"):
+            Presentation.from_json(data)
+
     def test_json_roundtrip(self):
         p = ak_presentation(2, "y x")
         data = json.loads(json.dumps(p.to_json()))

@@ -33,6 +33,13 @@ class TestSlopeType:
         with pytest.raises(SlopeError, match="must be integers"):
             Slope(p, q)
 
+    @pytest.mark.parametrize("p, q", [(True, 1), (1, True), (1.0, 2), ("1", 2),
+                                      (2, 4.0)])
+    def test_make_terms_are_ints(self, p, q):
+        # checked before normalizing, which would turn True into 1
+        with pytest.raises(SlopeError, match="must be integers"):
+            Slope.make(p, q)
+
     def test_make_normalizes(self):
         assert Slope.make(2, 4) == Slope(1, 2)
         assert Slope.make(-3, 0) == Slope(1, 0)

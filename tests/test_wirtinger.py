@@ -60,6 +60,12 @@ class TestPDValidation:
         with pytest.raises(PDCodeError):
             PDCode.from_json(data)
 
+    @pytest.mark.parametrize("data, kind", [([1, 2], "list"), ("x", "str")])
+    def test_json_top_level_must_be_an_object(self, data, kind):
+        with pytest.raises(PDCodeError,
+                           match=f"^a PD code is a JSON object, got {kind}$"):
+            PDCode.from_json(data)
+
     def test_json_roundtrip(self):
         pd = trefoil_pd()
         data = json.loads(json.dumps(pd.to_json()))
