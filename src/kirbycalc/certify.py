@@ -299,6 +299,15 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     the row.  Deterministic for a fixed presentation, subgroup and budget.
     Budget exhaustion is reported as status "budget", never an error.
 
+    When a scan stalls on a gap whose two ends are distinct cosets, the
+    gap is defined as one run of new cosets, up to the budget.  Defining
+    one coset per stall, as HLT does, would stall both scans again at once
+    after each definition: the new row holds only its inverse entry, which
+    the next letter of a freely reduced word never reads, and the backward
+    end's row is untouched.  So the run defines the same cosets on the same
+    entries in the same order, and every result, counts included, is the
+    HLT result letter for letter.
+
     The table is one flat list: entry ``c * width + x`` is the coset reached
     from ``c`` by letter ``x``, or -1.  Coincidences are processed as in COINC
     (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 5.1), after
@@ -329,22 +338,13 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     subgroup_scans = scans_of(subgroup)
 
     blank = [-1] * width
+    pairs = tuple((x, x ^ 1) for x in range(width))
     table = list(blank)
     rep = [0]                       # union-find over coset numbers
+    n = 1                           # cosets defined, len(rep)
     # Live cosets only grow between coincidences, so their peak is read
     # at each coincidence and at the end.
     coincidences = dead = peak_live = 0
-
-    def define(alpha: int, x: int) -> int:
-        """New coset alpha.x, or -1 when the budget is spent."""
-        beta = len(rep)
-        if beta >= max_cosets:
-            return -1
-        table.extend(blank)
-        rep.append(beta)
-        table[alpha * width + x] = beta
-        table[beta * width + (x ^ 1)] = alpha
-        return beta
 
     def coincidence(alpha: int, beta: int) -> None:
         """Merge two live cosets and every coincidence that follows."""
@@ -357,26 +357,30 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
         queue = [beta]
         for gamma in queue:             # a dead coset whose row is rewired
             row = gamma * width
-            for x in range(width):
+            # gamma's root, followed once per row: if a merge on one letter
+            # kills it, it joins the queue after gamma, so what a later
+            # letter writes into its row is carried on when it is processed
+            mu = gamma
+            while rep[mu] != mu:
+                rep[mu] = mu = rep[rep[mu]]
+            for x, xi in pairs:
                 delta = table[row + x]
                 if delta < 0:
                     continue
-                xi = x ^ 1
                 table[delta * width + xi] = -1
-                mu = gamma
-                while rep[mu] != mu:
-                    rep[mu] = mu = rep[rep[mu]]
                 nu = delta
                 while rep[nu] != nu:
                     rep[nu] = nu = rep[rep[nu]]
-                u = table[mu * width + x]
+                mx = mu * width + x
+                u = table[mx]
                 if u >= 0:
                     v = nu
                 else:
-                    v = table[nu * width + xi]
+                    nxi = nu * width + xi
+                    v = table[nxi]
                     if v < 0:
-                        table[mu * width + x] = nu
-                        table[nu * width + xi] = mu
+                        table[mx] = nu
+                        table[nxi] = mu
                         continue
                     u = mu
                 # merge u and v; the smaller root survives
@@ -396,7 +400,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     # coset 0, the subgroup, is never merged away; its subgroup words
     # return to it, so they are scanned there like relators, before them
     pending = subgroup_scans + scans
-    while alpha < len(rep) and not exhausted:
+    while alpha < n and not exhausted:
         if rep[alpha] != alpha:
             alpha += 1
             continue
@@ -422,27 +426,50 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
                     if f != b:
                         coincidence(f, b)
                     break
-                if i == j:
-                    # deduction closes the gap
-                    table[f * width + path[i]] = b
-                    table[b * width + inv[i]] = f
-                    break
-                if define(f, path[i]) < 0:
-                    exhausted = True
-                    break
+                if i < j:
+                    # define the gap path[i..j-1] as one run (see above);
+                    # when f == b the first definition writes b's row, so
+                    # define one coset and scan again
+                    run = min(j - i if f != b else 1, max_cosets - n)
+                    if not run:
+                        exhausted = True
+                        break
+                    # one coset at a time, rep and its row sharing one int
+                    # object; growing the table by whole runs measured a
+                    # higher peak RSS
+                    for t in range(i, i + run):
+                        table += blank
+                        rep.append(n)
+                        table[f * width + path[t]] = n
+                        table[n * width + inv[t]] = f
+                        f = n
+                        n += 1
+                    i += run
+                    if i < j:
+                        continue
+                # deduction closes the gap
+                table[f * width + path[i]] = b
+                table[b * width + inv[i]] = f
+                break
             if exhausted or rep[alpha] != alpha:
                 break
         else:
             row = alpha * width
-            for x in range(width):
-                if table[row + x] < 0 and define(alpha, x) < 0:
-                    exhausted = True
-                    break
+            for x, xi in pairs:
+                if table[row + x] < 0:
+                    if n >= max_cosets:
+                        exhausted = True
+                        break
+                    table += blank
+                    rep.append(n)
+                    table[row + x] = n
+                    table[n * width + xi] = alpha
+                    n += 1
         pending = scans
         alpha += 1
 
-    live_ids = [c for c in range(len(rep)) if rep[c] == c]
-    defined = len(rep)
+    live_ids = [c for c in range(n) if rep[c] == c]
+    defined = n
     live = len(live_ids)
     counts = dict(subgroup=subgroup, coincidences=coincidences,
                   peak_live=max(peak_live, live))

@@ -292,12 +292,13 @@ class FramedLinkModel:
     def from_json(cls, data: dict) -> "FramedLinkModel":
         if not isinstance(data, dict):
             raise ModelError(f"a model is a JSON object, got {type(data).__name__}")
-        try:
-            comps = [Component.from_json(c) for c in data["components"]]
-            linking = data["linking"]
-        except (KeyError, TypeError) as exc:
-            raise ModelError(f"model JSON missing field: {exc}")
-        return cls(comps, linking)
+        for name in ("components", "linking"):
+            if name not in data:
+                raise ModelError(f"model JSON missing field: {name!r}")
+            if not isinstance(data[name], list):
+                raise ModelError(f"model field {name!r} must be a list")
+        return cls([Component.from_json(c) for c in data["components"]],
+                   data["linking"])
 
 
 @dataclass(frozen=True)

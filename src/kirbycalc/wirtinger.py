@@ -180,15 +180,34 @@ class PDCode:
         if not isinstance(data, dict):
             raise PDCodeError(
                 f"a PD code is a JSON object, got {type(data).__name__}")
-        try:
-            xs = [(tuple(c["arcs"]), c["sign"]) for c in data["crossings"]]
-            comps = [tuple(c) for c in data["components"]]
-        except (KeyError, TypeError) as exc:
-            raise PDCodeError(f"malformed PD JSON: {exc}")
+        crossings = _list_field(data, "PD code", "crossings")
+        comps = _list_field(data, "PD code", "components")
+        xs = []
+        for c in crossings:
+            if not isinstance(c, dict):
+                raise PDCodeError(
+                    f"a crossing is a JSON object, got {type(c).__name__}")
+            arcs = _list_field(c, "crossing", "arcs")
+            if "sign" not in c:
+                raise PDCodeError("crossing JSON missing field: 'sign'")
+            xs.append((arcs, c["sign"]))
+        for comp in comps:
+            if not isinstance(comp, list):
+                raise PDCodeError(
+                    f"a component is a list of edge labels, got {type(comp).__name__}")
         for labels in [arcs for arcs, _ in xs] + comps:
             if any(type(e) is not int for e in labels):
-                raise PDCodeError(f"edge labels must be integers, got {list(labels)}")
+                raise PDCodeError(f"edge labels must be integers, got {labels}")
         return cls(xs, comps)
+
+
+def _list_field(record: dict, what: str, name: str) -> list:
+    """``record[name]``, which a JSON ``what`` must hold as a list."""
+    if name not in record:
+        raise PDCodeError(f"{what} JSON missing field: {name!r}")
+    if not isinstance(record[name], list):
+        raise PDCodeError(f"{what} field {name!r} must be a list")
+    return record[name]
 
 
 def wirtinger_presentation(pd: PDCode) -> Presentation:

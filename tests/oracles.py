@@ -9,11 +9,11 @@ crossings in a fundamental domain, and the trivialization search against a
 dumb exhaustive BFS on raw presentations.  The search keys are checked
 against the plain tuple implementation the byte-level kernel replaced, and
 the coset enumerator against the list-of-rows implementation the flat
-table replaced (it borrows only the package's letter coding and result
-type).  The successor generator the search used before it pruned children
-that cannot add a node is kept as ``ref_expand``; it borrows the search
-kernel's word primitives, which the tests check against plain free
-reduction, ``ref_reduce_word``.
+table replaced, which defines one coset per call (it borrows only the
+package's letter coding, word coercion and result type).  The successor
+generator the search used before it pruned children that cannot add a node
+is kept as ``ref_expand``; it borrows the search kernel's word primitives,
+which the tests check against plain free reduction, ``ref_reduce_word``.
 """
 
 from fractions import Fraction as F
@@ -598,17 +598,21 @@ def ref_smith_normal_form(mat: IntegerMatrix) -> SmithNormalForm:
 # coset enumeration: the reference list-of-rows implementation
 # ---------------------------------------------------------------------------
 # The HLT enumerator as it stood before the flat-table rewrite: one list per
-# coset row, and find() on every entry a scan reads.  The rewrite must give
-# the same CosetTable, field for field.  It uses the package's letter coding
-# and result type, not its enumerator.
+# coset row, find() on every entry a scan reads, and one coset defined per
+# call.  The rewrite must give the same CosetTable, field for field, and the
+# same counts of primary coincidences and peak live cosets.  It uses the
+# package's letter coding, word coercion and result type, not its
+# enumerator.
 
-def ref_todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
-    """Enumerate cosets of the trivial subgroup of the presented group.
+def ref_todd_coxeter(p: Presentation, max_cosets: int = 100_000,
+                     subgroup=()) -> CosetTable:
+    """Enumerate the cosets of the subgroup generated by ``subgroup``.
 
-    Relator-driven strategy: process live cosets in definition order, scan
-    every relator through each, filling gaps by defining new cosets, then
-    complete the row.  Deterministic for a fixed presentation and budget.
-    Budget exhaustion is reported as status "budget", never an error.
+    Relator-driven strategy: scan every subgroup word at coset 0, then
+    process live cosets in definition order, scan every relator through
+    each, filling gaps by defining new cosets, then complete the row.
+    Deterministic for a fixed presentation, subgroup and budget.  Budget
+    exhaustion is reported as status "budget", never an error.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
@@ -616,10 +620,15 @@ def ref_todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
     codes = letter_codes(gens)
     width = 2 * len(gens)
     relator_paths = [encode_word(r, codes) for r in p.relators]
+    subgroup = Presentation(gens, subgroup).relators
+    subgroup_paths = [path for path in (encode_word(w, codes) for w in subgroup)
+                      if path]
 
     table: list[list[Optional[int]]] = [[None] * width]
     rep: list[int] = [0]            # union-find for coincidences
     defined = 1
+    dead = coincidences = 0
+    peak_live = 1                   # live cosets, read after every definition
 
     def find(c: int) -> int:
         while rep[c] != c:
@@ -628,18 +637,20 @@ def ref_todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
         return c
 
     def define(alpha: int, x: int) -> Optional[int]:
-        nonlocal defined
+        nonlocal defined, peak_live
         if defined >= max_cosets:
             return None
         beta = len(table)
         table.append([None] * width)
         rep.append(beta)
         defined += 1
+        peak_live = max(peak_live, defined - dead)
         table[alpha][x] = beta
         table[beta][x ^ 1] = alpha
         return beta
 
     def coincidence(alpha: int, beta: int) -> None:
+        nonlocal dead, coincidences
         queue: list[int] = []
 
         def merge(u: int, v: int) -> None:
@@ -650,6 +661,8 @@ def ref_todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
                 queue.append(hi)
 
         merge(alpha, beta)
+        if queue:
+            coincidences += 1
         qi = 0
         while qi < len(queue):
             gamma = queue[qi]       # a dead coset whose row must be rewired
@@ -667,6 +680,7 @@ def ref_todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
                 else:
                     table[mu][x] = nu
                     table[nu][x ^ 1] = mu
+        dead += len(queue)
 
     def scan_and_fill(alpha: int, path: tuple[int, ...]) -> bool:
         """Trace a relator at alpha, defining cosets as needed.
@@ -706,7 +720,9 @@ def ref_todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
         if find(alpha) != alpha:
             alpha += 1
             continue
-        for path in relator_paths:
+        # coset 0 is the subgroup: its words are scanned there first
+        paths = subgroup_paths + relator_paths if alpha == 0 else relator_paths
+        for path in paths:
             if not scan_and_fill(alpha, path):
                 exhausted = True
                 break
@@ -725,12 +741,16 @@ def ref_todd_coxeter(p: Presentation, max_cosets: int = 100_000) -> CosetTable:
         alpha += 1
 
     live_ids = [c for c in range(len(table)) if find(c) == c]
+    counts = dict(subgroup=subgroup, coincidences=coincidences,
+                  peak_live=peak_live)
     if exhausted:
-        return CosetTable("budget", gens, (), None, len(live_ids), defined)
+        return CosetTable("budget", gens, (), None, len(live_ids), defined,
+                          **counts)
 
     renumber = {c: k for k, c in enumerate(live_ids)}
     compact = tuple(
         tuple(renumber[find(table[c][x])] for x in range(width))
         for c in live_ids)
-    order = len(live_ids)
-    return CosetTable("closed", gens, compact, order, order, defined)
+    live = len(live_ids)
+    order = None if subgroup_paths else live
+    return CosetTable("closed", gens, compact, order, live, defined, **counts)

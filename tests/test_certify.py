@@ -215,10 +215,14 @@ class TestCosetEnumeration:
         assert verify_coset_table(table, p)
 
 
-def _same_as_reference(p, budget):
-    # dataclass equality: status, table, order, live, defined and generators
-    got = todd_coxeter(p, budget)
-    assert got == ref_todd_coxeter(p, budget)
+def _same_as_reference(p, budget, subgroup=()):
+    # dataclass equality covers status, table, order, live, defined,
+    # generators and subgroup; the two counts are compared apart
+    got = todd_coxeter(p, budget, subgroup=subgroup)
+    want = ref_todd_coxeter(p, budget, subgroup=subgroup)
+    assert got == want
+    assert ((got.coincidences, got.peak_live)
+            == (want.coincidences, want.peak_live))
     return got
 
 
@@ -242,31 +246,65 @@ FINITE_GROUPS = {
 
 
 class TestToddCoxeterAgainstReference:
-    """The flat-table enumerator gives the same CosetTable, field for field,
-    as the list-of-rows implementation it replaced."""
+    """The flat-table enumerator, which defines each gap of a scan as one
+    run of cosets, gives the same CosetTable, field for field and count for
+    count, as the list-of-rows implementation it replaced, over the trivial
+    subgroup and over <first generator>."""
 
     @given(small_presentations(), st.integers(1, 3000))
     @settings(max_examples=200, deadline=None)
     def test_random_presentations(self, p, budget):
-        _same_as_reference(p, budget)
+        for subgroup in ((), p.generators[:1]):
+            _same_as_reference(p, budget, subgroup)
 
     @pytest.mark.parametrize("name", sorted(FINITE_GROUPS))
     def test_finite_groups_at_every_budget_scale(self, name):
         p, order = FINITE_GROUPS[name]
-        statuses = set()
-        for budget in (1, 2, 3, 5, 8, 13, 20, 40, 70, 100, 300, 1000, 10_000):
-            table = _same_as_reference(p, budget)
-            statuses.add(table.status)
-            if table.closed():
-                assert table.order == order
-                assert verify_coset_table(table, p)
-        assert statuses == {"budget", "closed"}
+        for subgroup in ((), p.generators[:1]):
+            statuses = set()
+            for budget in (1, 2, 3, 5, 8, 13, 20, 40, 70, 100, 300, 1000,
+                           10_000):
+                table = _same_as_reference(p, budget, subgroup)
+                statuses.add(table.status)
+                if table.closed():
+                    assert table.order == (None if subgroup else order)
+                    assert verify_coset_table(table, p)
+            assert statuses == {"budget", "closed"}
 
     def test_family_members(self):
         for n in range(41):
             for w in ("y x", "Y X"):
                 table = _same_as_reference(ak_presentation(n, w), 50_000)
                 assert table.closed() and table.order == 1
+
+    @pytest.mark.parametrize("n", [60, 100, 150])
+    def test_long_runs_over_x(self, n):
+        # each scan of x^(n+1) Y^n leaves a gap of about n letters, which
+        # the enumerator defines as one run
+        for w in ("y x", "y X", "Y x", "Y X"):
+            table = _same_as_reference(ak_presentation(n, w), 200_000, ("x",))
+            assert table.index == 1
+
+    def test_budget_edges_inside_a_run(self):
+        # the budget may end a run part way: the enumeration then stops at
+        # exactly the budget, or closes when the budget suffices
+        p = ak_presentation(60, "y X")
+        defined = todd_coxeter(p, 200_000, subgroup=("x",)).defined
+        for budget in (defined - 1, defined, defined + 1):
+            table = _same_as_reference(p, budget, ("x",))
+            if budget < defined:
+                assert table.status == "budget" and table.defined == budget
+            else:
+                assert table.index == 1 and table.defined == defined
+
+    def test_every_budget_of_a_small_member(self):
+        p = ak_presentation(8, "Y x")
+        defined = todd_coxeter(p, 10_000, subgroup=("x",)).defined
+        for budget in range(1, defined + 2):
+            table = _same_as_reference(p, budget, ("x",))
+            assert table.closed() == (budget >= defined)
+            assert table.defined == min(budget, defined)
+
 
 
 def _cycle_length(table, x):
@@ -349,6 +387,19 @@ class TestSubgroupEnumeration:
 class TestEnumerationCounts:
     """coincidences and peak_live are read at each coincidence and at the
     end; they are bounded by the other counts and fixed by the input."""
+
+    @pytest.mark.parametrize("n, w, counts", [
+        (150, "y x", (22352, 1, 22352)), (300, "y x", (89702, 1, 89702)),
+        (150, "y X", (22500, 1, 22500)), (300, "y X", (90000, 1, 90000)),
+        (150, "Y x", (22503, 2, 22502)), (300, "Y x", (90003, 2, 90002)),
+        (150, "Y X", (22502, 1, 22502)), (300, "Y X", (90002, 1, 90002)),
+    ])
+    def test_family_counts_over_x(self, n, w, counts):
+        # (defined, coincidences, peak_live) as the one-coset-per-call
+        # enumerator recorded them, at certify-heavy's budget
+        table = todd_coxeter(ak_presentation(n, w), 200_000, subgroup=("x",))
+        assert table.index == 1
+        assert (table.defined, table.coincidences, table.peak_live) == counts
 
     @pytest.mark.parametrize("name", sorted(FINITE_GROUPS))
     def test_bounds(self, name):

@@ -168,6 +168,23 @@ class TestErrorReport:
         assert err == f"error: a {what} is a JSON object, got {kind}\n"
 
 
+    @pytest.mark.parametrize("argv, data, message", [
+        (["kirby", "check", "BAD"], {"components": 5, "linking": []},
+         "model field 'components' must be a list"),
+        (["kirby", "h1", "BAD"], {"components": [], "linking": 5},
+         "model field 'linking' must be a list"),
+        (["wirtinger", "BAD"], {"crossings": 5, "components": [[1]]},
+         "PD code field 'crossings' must be a list"),
+        (["wirtinger", "BAD"], {"crossings": [[1]], "components": [[1]]},
+         "a crossing is a JSON object, got list")])
+    def test_field_of_the_wrong_type(self, capsys, tmp_path, argv, data,
+                                     message):
+        path = write(tmp_path, "bad.json", data)
+        code, out, err = run(capsys, *[path if a == "BAD" else a for a in argv])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestAcSearch:
     def test_search_outcome(self, capsys, tmp_path):
         path = write(tmp_path, "p.json",

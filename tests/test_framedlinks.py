@@ -60,6 +60,18 @@ class TestModelInvariants:
             with pytest.raises(ModelError):
                 FramedLinkModel.from_json(data)
 
+    @pytest.mark.parametrize("data, field", [
+        ({"components": 5, "linking": []}, "components"),
+        ({"components": {"a": 1}, "linking": []}, "components"),
+        ({"components": [], "linking": 5}, "linking"),
+        ({"components": [], "linking": {"a": [1]}}, "linking"),
+    ])
+    def test_json_field_of_the_wrong_type_is_named(self, data, field):
+        # a wrong type is not a missing field
+        with pytest.raises(ModelError,
+                           match=f"^model field '{field}' must be a list$"):
+            FramedLinkModel.from_json(data)
+
     @pytest.mark.parametrize("data, kind", [([1, 2], "list"), ("x", "str"),
                                             (5, "int")])
     def test_json_top_level_must_be_an_object(self, data, kind):

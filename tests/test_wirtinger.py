@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 
@@ -58,6 +59,29 @@ class TestPDValidation:
     ])
     def test_from_json_rejects_malformed_records(self, data):
         with pytest.raises(PDCodeError):
+            PDCode.from_json(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"crossings": 5, "components": [[1]]},
+         "PD code field 'crossings' must be a list"),
+        ({"crossings": [], "components": {"a": 1}},
+         "PD code field 'components' must be a list"),
+        ({"components": [[1]]}, "PD code JSON missing field: 'crossings'"),
+        ({"crossings": []}, "PD code JSON missing field: 'components'"),
+        ({"crossings": [[1]], "components": [[1]]},
+         "a crossing is a JSON object, got list"),
+        ({"crossings": [{"sign": 1}], "components": [[1]]},
+         "crossing JSON missing field: 'arcs'"),
+        ({"crossings": [{"arcs": 5, "sign": 1}], "components": [[1]]},
+         "crossing field 'arcs' must be a list"),
+        ({"crossings": [{"arcs": [1, 2, 1, 2]}], "components": [[1, 2]]},
+         "crossing JSON missing field: 'sign'"),
+        ({"crossings": [], "components": [5]},
+         "a component is a list of edge labels, got int"),
+    ])
+    def test_from_json_names_the_field(self, data, message):
+        # a missing field and a field of the wrong type each say which
+        with pytest.raises(PDCodeError, match=f"^{re.escape(message)}$"):
             PDCode.from_json(data)
 
     @pytest.mark.parametrize("data, kind", [([1, 2], "list"), ("x", "str")])
