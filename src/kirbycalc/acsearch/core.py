@@ -36,6 +36,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .. import presentations as pres
+from .. import records
 from ..presentations import BalancedPresentation
 from ..words import decode_word, encode_word, letter_codes
 from . import kernel
@@ -71,9 +72,7 @@ class SearchConfig:
         for name, least in (("max_total_length", 0), ("max_depth", 0),
                             ("conjugator_depth", 0), ("node_budget", 1),
                             ("stabilizations", 0), ("workers", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}")
+            records.check_int(getattr(self, name), least, name, ValueError)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -154,30 +153,33 @@ def _conjugators(n_gens: int, depth: int):
 
 # -- move application (symbolic, for replay) --------------------------------
 
+# move kind -> its move function and parameters, in call order
+_MOVE_TABLE = {
+    "invert": (pres.ac_invert, ("i",)),
+    "conjugate": (pres.ac_conjugate, ("i", "conj")),
+    "multiply": (pres.ac_multiply, ("i", "j", "conj")),
+    "stabilize": (pres.stabilize, ()),
+    "destabilize": (pres.destabilize, ("i",)),
+}
+
+
 def apply_move(p: BalancedPresentation, move: dict) -> BalancedPresentation:
-    kind = move.get("move")
-    if kind == "invert":
-        return pres.ac_invert(p, move["i"])
-    if kind == "conjugate":
-        return pres.ac_conjugate(p, move["i"], move["conj"])
-    if kind == "multiply":
-        return pres.ac_multiply(p, move["i"], move["j"], move["conj"])
-    if kind == "stabilize":
-        return pres.stabilize(p)
-    if kind == "destabilize":
-        return pres.destabilize(p, move["i"])
-    raise pres.MoveError(f"unknown move kind {kind!r}")
+    return records.apply_move(p, move, _MOVE_TABLE, pres.MoveError)
 
 
 def replay_trace(p: BalancedPresentation, trace) -> BalancedPresentation:
-    """Apply a move sequence, failing with the offending step index.  Every
-    input error of a move (a bad index, kind or conjugator; the package's
-    input errors are ValueErrors) is reported as a TraceError."""
+    """Apply a trace, a list of move records, in order.  A trace that is not
+    a list is a ValueError.  Every input error of a step (a record that is
+    not an object, an unknown kind, a missing parameter, a bad index or
+    conjugator; the package's input errors are ValueErrors) is a
+    TraceError that names the step."""
+    if not isinstance(trace, list):
+        raise ValueError("trace must be a JSON array")
     current = p
     for step, move in enumerate(trace):
         try:
             current = apply_move(current, move)
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise TraceError(step, str(exc)) from exc
     return current
 

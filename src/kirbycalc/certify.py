@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .presentations import Presentation
+from .records import check_int
 from .words import Word, encode_word, letter_codes
 
 
@@ -31,9 +32,13 @@ class IntegerMatrix:
 
     def __init__(self, entries):
         try:
-            rows = tuple(tuple(row) for row in entries)
+            rows = tuple(entries)
         except TypeError:
-            raise MatrixError("a matrix is a list of rows of integers") from None
+            rows = None
+        # a row that is a string would be read character by character
+        if rows is None or not all(isinstance(r, (list, tuple)) for r in rows):
+            raise MatrixError("a matrix is a list of rows of integers")
+        rows = tuple(map(tuple, rows))
         for row in rows:
             for v in row:
                 if type(v) is not int:
@@ -316,8 +321,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     is consulted only while coincidences are processed.  A live row that
     names a dead coset breaks that invariant and raises ``AssertionError``.
     """
-    if type(max_cosets) is not int or max_cosets < 1:
-        raise ValueError("max_cosets must be an integer >= 1")
+    check_int(max_cosets, 1, "max_cosets", ValueError)
     gens = p.generators
     codes = letter_codes(gens)
     width = 2 * len(gens)

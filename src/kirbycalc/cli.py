@@ -142,8 +142,10 @@ def _cmd_abelianization(args) -> int:
 
 def _parse_framings(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
+        # an empty field is refused: int("") fails.  argparse reads
+        # "--framings=--" as [], which has no split
+        return [int(tok) for tok in text.split(",")]
+    except (AttributeError, ValueError):
         raise ValueError(f"bad framings {text!r}: expected integers "
                          "separated by commas")
 

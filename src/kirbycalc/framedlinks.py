@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from . import records
 from .certify import AbelianGroup, IntegerMatrix, MatrixError, h1_from_matrix
 
 PLAIN = "plain"
@@ -57,8 +58,7 @@ class Component:
 
     @classmethod
     def from_json(cls, data: dict) -> "Component":
-        if not isinstance(data, dict):
-            raise ModelError(f"a component is a JSON object, got {data!r}")
+        records.json_object(data, "component", ModelError)
         return cls(kind=data.get("kind", PLAIN),
                    framing=data.get("framing"),
                    unknotted=data.get("unknotted", False))
@@ -125,10 +125,7 @@ class FramedLinkModel:
 
     def _check(self, *indices: int) -> None:
         for i in indices:
-            if type(i) is not int:
-                raise IllegalMove(f"component index must be an integer, got {i!r}")
-            if not 0 <= i < len(self):
-                raise IllegalMove(f"component index {i} out of range")
+            records.check_index(i, len(self), "component", IllegalMove)
 
     def _rebuild(self, comps, matrix) -> "FramedLinkModel":
         # re-sync framings from the diagonal before validating
@@ -290,15 +287,10 @@ class FramedLinkModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "FramedLinkModel":
-        if not isinstance(data, dict):
-            raise ModelError(f"a model is a JSON object, got {type(data).__name__}")
-        for name in ("components", "linking"):
-            if name not in data:
-                raise ModelError(f"model JSON missing field: {name!r}")
-            if not isinstance(data[name], list):
-                raise ModelError(f"model field {name!r} must be a list")
-        return cls([Component.from_json(c) for c in data["components"]],
-                   data["linking"])
+        records.json_object(data, "model", ModelError)
+        comps = records.json_list(data, "model", "components", ModelError)
+        linking = records.json_list(data, "model", "linking", ModelError)
+        return cls([Component.from_json(c) for c in comps], linking)
 
 
 @dataclass(frozen=True)
@@ -313,9 +305,9 @@ class GprReport:
 
 # move kind -> its FramedLinkModel method and parameters, in call order
 _MOVE_TABLE = {
-    "slide": (FramedLinkModel.slide, ("u", "v", "sign")),
-    "slide_over_dotted": (FramedLinkModel.slide_over_dotted, ("h", "d", "sign")),
-    "blow_up": (FramedLinkModel.blow_up, ("sign",)),
+    "slide": (FramedLinkModel.slide, ("u", "v", ("sign", 1))),
+    "slide_over_dotted": (FramedLinkModel.slide_over_dotted, ("h", "d", ("sign", 1))),
+    "blow_up": (FramedLinkModel.blow_up, (("sign", 1),)),
     "blow_down": (FramedLinkModel.blow_down, ("i",)),
     "add_distant_unknot": (FramedLinkModel.add_distant_unknot, ()),
     "add_hopf_pair": (FramedLinkModel.add_hopf_pair, ()),
@@ -325,18 +317,7 @@ MOVES = tuple(_MOVE_TABLE)
 
 
 def apply_move(model: FramedLinkModel, move: dict) -> FramedLinkModel:
-    if not isinstance(move, dict):
-        raise IllegalMove(f"a move is a JSON object, got {move!r}")
-    kind = move.get("move")
-    # a tuple test: the kind may be any JSON value, a list included
-    if kind not in MOVES:
-        raise IllegalMove(f"unknown move kind {kind!r} (expected one of {MOVES})")
-    method, params = _MOVE_TABLE[kind]
-    try:
-        args = [move.get(p, 1) if p == "sign" else move[p] for p in params]
-    except KeyError as exc:
-        raise IllegalMove(f"move {kind!r} is missing parameter {exc}")
-    return method(model, *args)
+    return records.apply_move(model, move, _MOVE_TABLE, IllegalMove)
 
 
 def apply_script(model: FramedLinkModel, script) -> FramedLinkModel:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .records import check_index, check_int, json_list, json_object
 from .words import (IDENTITY, Word, check_symbols, cyclic_reduce,
                     is_generator_name)
 
@@ -87,18 +88,9 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
-        if not isinstance(data, dict):
-            raise PresentationError(
-                f"a presentation is a JSON object, got {type(data).__name__}")
-        try:
-            gens = data["generators"]
-            rels = data["relators"]
-        except KeyError as exc:
-            raise PresentationError(f"presentation JSON missing field: {exc}")
-        if not (isinstance(gens, list) and isinstance(rels, list)):
-            raise PresentationError(
-                "presentation JSON 'generators' and 'relators' must be lists")
-        return cls(gens, rels)
+        json_object(data, "presentation", PresentationError)
+        return cls(json_list(data, "presentation", "generators", PresentationError),
+                   json_list(data, "presentation", "relators", PresentationError))
 
 
 class BalancedPresentation(Presentation):
@@ -115,8 +107,7 @@ class BalancedPresentation(Presentation):
 
 
 def _check_index(p: Presentation, i: int) -> None:
-    if not 0 <= i < len(p.relators):
-        raise MoveError(f"relator index {i} out of range for {len(p.relators)} relators")
+    check_index(i, len(p.relators), "relator", MoveError)
 
 
 def ac_multiply(p: BalancedPresentation, i: int, j: int, conj=IDENTITY):
@@ -193,8 +184,7 @@ def ak_presentation(n: int, w="y x") -> BalancedPresentation:
     ``w`` is any nonempty word in x, y; the n-th member stores the relators
     as the free reductions of Y w^-1 x w and x^(n+1) Y^n.
     """
-    if type(n) is not int or n < 0:
-        raise ValueError(f"family index must be an integer >= 0, got {n!r}")
+    check_int(n, 0, "family index", ValueError)
     w = _as_word(w)
     if not w:
         raise ValueError("conjugating word w must be nonempty")

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .records import check_int
+
 
 PUNCTURES = ("b1", "b2", "b3", "b4")
 POLES = {"b1": "N", "b2": "N", "b3": "S", "b4": "S"}
@@ -142,8 +144,7 @@ def geometric_intersection(s1: Slope, s2: Slope) -> int:
 def enumerate_candidates(max_q: int) -> list[Slope]:
     """All candidate slopes with q <= max_q and |p| <= max(max_q, 1),
     sorted by value."""
-    if type(max_q) is not int or max_q < 0:
-        raise SlopeError("max_q must be an integer >= 0")
+    check_int(max_q, 0, "max_q", SlopeError)
     p_cap = max(max_q, 1)
     pool = [Slope(p, q) for q in range(1, max_q + 1)
             for p in range(-p_cap, p_cap + 1) if gcd(abs(p), q) == 1]

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .certify import AbelianGroup, IntegerMatrix, abelianization
 from .presentations import Presentation
+from .records import check_index, json_field, json_list, json_object
 from .words import Word
 
 
@@ -142,6 +143,7 @@ class PDCode:
 
     def writhe(self, component: int) -> int:
         """Sum of signs over self-crossings of one component."""
+        check_index(component, len(self.components), "component", PDCodeError)
         comp = set(self.components[component])
         return sum(x.sign for x in self.crossings
                    if x.under_in in comp and x.over_in in comp)
@@ -149,9 +151,8 @@ class PDCode:
     def linking_matrix(self, framings: Sequence[int]) -> IntegerMatrix:
         """Framings on the diagonal; off-diagonal entries are half the signed
         count of crossings between the two components."""
+        self._check_framings(framings)
         n = len(self.components)
-        if len(framings) != n:
-            raise PDCodeError(f"need {n} framings, got {len(framings)}")
         comp_of = {e: k for k, comp in enumerate(self.components) for e in comp}
         m = [[0] * n for _ in range(n)]
         for x in self.crossings:
@@ -165,8 +166,18 @@ class PDCode:
                     if m[i][j] % 2:
                         raise PDCodeError("odd inter-component crossing count")
                     m[i][j] //= 2
-            m[i][i] = int(framings[i])
+            m[i][i] = framings[i]
         return IntegerMatrix(m)
+
+    def _check_framings(self, framings: Sequence[int]) -> None:
+        """One integer framing per component."""
+        n = len(self.components)
+        if len(framings) != n:
+            raise PDCodeError(f"need {n} framings for {n} components, "
+                              f"got {len(framings)}")
+        for f in framings:
+            if type(f) is not int:
+                raise PDCodeError(f"framing must be an integer, got {f!r}")
 
     # -- serialization ----------------------------------------------------------
 
@@ -177,20 +188,14 @@ class PDCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "PDCode":
-        if not isinstance(data, dict):
-            raise PDCodeError(
-                f"a PD code is a JSON object, got {type(data).__name__}")
-        crossings = _list_field(data, "PD code", "crossings")
-        comps = _list_field(data, "PD code", "components")
+        json_object(data, "PD code", PDCodeError)
+        crossings = json_list(data, "PD code", "crossings", PDCodeError)
+        comps = json_list(data, "PD code", "components", PDCodeError)
         xs = []
         for c in crossings:
-            if not isinstance(c, dict):
-                raise PDCodeError(
-                    f"a crossing is a JSON object, got {type(c).__name__}")
-            arcs = _list_field(c, "crossing", "arcs")
-            if "sign" not in c:
-                raise PDCodeError("crossing JSON missing field: 'sign'")
-            xs.append((arcs, c["sign"]))
+            json_object(c, "crossing", PDCodeError)
+            xs.append((json_list(c, "crossing", "arcs", PDCodeError),
+                       json_field(c, "crossing", "sign", PDCodeError)))
         for comp in comps:
             if not isinstance(comp, list):
                 raise PDCodeError(
@@ -199,15 +204,6 @@ class PDCode:
             if any(type(e) is not int for e in labels):
                 raise PDCodeError(f"edge labels must be integers, got {labels}")
         return cls(xs, comps)
-
-
-def _list_field(record: dict, what: str, name: str) -> list:
-    """``record[name]``, which a JSON ``what`` must hold as a list."""
-    if name not in record:
-        raise PDCodeError(f"{what} JSON missing field: {name!r}")
-    if not isinstance(record[name], list):
-        raise PDCodeError(f"{what} field {name!r} must be a list")
-    return record[name]
 
 
 def wirtinger_presentation(pd: PDCode) -> Presentation:
@@ -228,8 +224,7 @@ def wirtinger_presentation(pd: PDCode) -> Presentation:
 def meridian_word(pd: PDCode, component: int) -> Word:
     """The distinguished meridian generator: the arc of the component's first
     listed edge."""
-    if not 0 <= component < len(pd.components):
-        raise PDCodeError(f"no component {component}")
+    check_index(component, len(pd.components), "component", PDCodeError)
     arc = pd.arc_classes()[pd.components[component][0]]
     return Word([(f"a{arc}", 1)])
 
@@ -274,10 +269,8 @@ class SurgeryPresentation:
 def surgery_presentation(pd: PDCode, framings: Sequence[int]) -> SurgeryPresentation:
     """Presentation of the manifold obtained by integral surgery with the
     given framings, one per component."""
+    pd._check_framings(framings)
     n = len(pd.components)
-    if len(framings) != n:
-        raise PDCodeError(f"need {n} framings for {n} components, "
-                          f"got {len(framings)}")
     base = wirtinger_presentation(pd)
     longitudes = tuple(longitude_word(pd, c, framings[c]) for c in range(n))
     meridians = tuple(meridian_word(pd, c) for c in range(n))

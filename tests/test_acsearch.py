@@ -657,6 +657,62 @@ class TestReplay:
                              {"move": "conjugate", "i": 0, "conj": conj}])
         assert err.value.step == 1
 
+    @pytest.mark.parametrize("move", [5, "invert", [0], None])
+    def test_move_must_be_an_object(self, move):
+        p = B(("x",), ("x",))
+        with pytest.raises(TraceError) as err:
+            replay_trace(p, [{"move": "invert", "i": 0}, move])
+        assert err.value.step == 1
+        assert str(err.value) == ("trace step 1: a move is a JSON object, "
+                                  f"got {type(move).__name__}")
+
+    @pytest.mark.parametrize("trace", [5, {"move": "invert", "i": 0},
+                                       ({"move": "invert", "i": 0},)])
+    def test_trace_must_be_a_list(self, trace):
+        p = B(("x",), ("x",))
+        with pytest.raises(ValueError,
+                           match="^trace must be a JSON array$") as err:
+            replay_trace(p, trace)
+        assert not isinstance(err.value, TraceError)
+
+    @pytest.mark.parametrize("move, missing", [
+        ({"move": "invert"}, "i"),
+        ({"move": "conjugate", "i": 0}, "conj"),
+        ({"move": "conjugate", "conj": "x"}, "i"),
+        ({"move": "multiply", "i": 0, "j": 1}, "conj"),
+        ({"move": "multiply", "i": 0, "conj": ""}, "j"),
+        ({"move": "destabilize"}, "i"),
+    ])
+    def test_missing_parameter_is_named(self, move, missing):
+        with pytest.raises(TraceError) as err:
+            replay_trace(B(("x", "y"), ("x", "y")), [move])
+        assert err.value.step == 0
+        assert str(err.value) == (f"trace step 0: move {move['move']!r} is "
+                                  f"missing parameter {missing!r}")
+
+    @pytest.mark.parametrize("move, value", [
+        ({"move": "invert", "i": True}, True),
+        ({"move": "invert", "i": 1.0}, 1.0),
+        ({"move": "destabilize", "i": True}, True),
+        ({"move": "multiply", "i": 0, "j": True, "conj": ""}, True),
+        ({"move": "conjugate", "i": 1.0, "conj": "x"}, 1.0),
+    ])
+    def test_index_must_be_an_int(self, move, value):
+        # True and 1.0 equal 1, but are not relator indices
+        with pytest.raises(TraceError) as err:
+            replay_trace(B(("x", "y"), ("x", "y")), [move])
+        assert err.value.step == 0
+        assert str(err.value) == ("trace step 0: relator index must be an "
+                                  f"integer >= 0, got {value!r}")
+
+    @pytest.mark.parametrize("kind", ["frobnicate", ["invert"], None])
+    def test_unknown_kind_lists_the_known_kinds(self, kind):
+        with pytest.raises(TraceError) as err:
+            replay_trace(B(("x",), ("x",)), [{"move": kind}])
+        assert str(err.value) == (
+            f"trace step 0: unknown move kind {kind!r} (expected one of "
+            "('invert', 'conjugate', 'multiply', 'stabilize', 'destabilize'))")
+
 
 class TestOrbitAgreement:
     """Key equality must match the declared equivalence exactly, checked by

@@ -515,6 +515,14 @@ class TestIntegerMatrix:
         with pytest.raises(MatrixError, match="ragged"):
             IntegerMatrix([[1, 2], [3]])
 
+    @pytest.mark.parametrize("entries", [["1"], ["12", "34"], "ab"],
+                             ids=["one-row", "two-rows", "string-matrix"])
+    def test_string_row_is_not_a_row(self, entries):
+        # a string is iterable, but its characters are not entries
+        with pytest.raises(MatrixError,
+                           match="^a matrix is a list of rows of integers$"):
+            IntegerMatrix(entries)
+
 
 class TestAbelianization:
     def test_no_relators_is_free_abelian(self):

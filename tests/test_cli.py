@@ -301,6 +301,16 @@ class TestKirby:
             assert code == 1 and err.startswith("error:") and not out
             assert "Traceback" not in err
 
+    def test_string_linking_row(self, capsys, tmp_path):
+        # a string row is not read character by character
+        path = write(tmp_path, "model.json",
+                     {"components": [{"kind": "plain", "framing": 1}],
+                      "linking": ["1"]})
+        code, out, err = run(capsys, "kirby", "h1", path)
+        assert code == 1 and out == ""
+        assert err == ("error: linking matrix: a matrix is a list of rows "
+                       "of integers\n")
+
     def test_hopf_pair_script_returns_the_input(self, capsys, tmp_path):
         """The moves of the weaker Property 2R: a canceling Hopf pair is
         added, its 2-handle slid over the dotted circle and back, and the
@@ -405,6 +415,23 @@ class TestWirtinger:
         code, out, err = run(capsys, "wirtinger", pd, "--framings", "0,0")
         assert code == 1 and err.startswith("error:") and out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("framings", ["0,,1", "0,1,", ",0,1", ""])
+    def test_empty_framing_field_refused(self, capsys, tmp_path, framings):
+        pd = write(tmp_path, "hopf.json", hopf_link_pd().to_json())
+        code, out, err = run(capsys, "wirtinger", pd, "--framings", framings)
+        assert code == 1 and out == ""
+        assert err == (f"error: bad framings {framings!r}: expected integers "
+                       "separated by commas\n")
+
+    def test_double_dash_framings_refused(self, capsys, tmp_path):
+        # argparse reads "--framings=--" as an empty list, not as text
+        pd = write(tmp_path, "unknot.json", {"crossings": [],
+                                             "components": [[1]]})
+        code, out, err = run(capsys, "wirtinger", pd, "--framings=--")
+        assert code == 1 and out == ""
+        assert err == ("error: bad framings []: expected integers separated "
+                       "by commas\n")
 
 
 class TestPipeline:

@@ -68,8 +68,13 @@ class TestStructure:
         assert texts(p) == ["x Y"]
 
     def test_json_fields_must_be_lists(self):
-        with pytest.raises(PresentationError, match="must be lists"):
+        # the message names the one field of the wrong type
+        with pytest.raises(PresentationError, match=(
+                "^presentation field 'generators' must be a list$")):
             Presentation.from_json({"generators": 5, "relators": []})
+        with pytest.raises(PresentationError, match=(
+                "^presentation field 'relators' must be a list$")):
+            Presentation.from_json({"generators": ["x"], "relators": 5})
 
     @pytest.mark.parametrize("data, kind", [([1, 2], "list"), ("x", "str"),
                                             (5, "int"), (None, "NoneType")])

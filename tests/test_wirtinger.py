@@ -164,6 +164,20 @@ class TestLongitudes:
         with pytest.raises(PDCodeError):
             longitude_word(unknot_pd(), 3, 0)
 
+    @pytest.mark.parametrize("component, message", [
+        (-1, "component index must be an integer >= 0, got -1"),
+        (True, "component index must be an integer >= 0, got True"),
+        (2, "component index 2 out of range for 2 components")],
+        ids=["negative", "bool", "past-the-end"])
+    @pytest.mark.parametrize("read", ["writhe", "meridian"])
+    def test_component_index_is_checked(self, read, component, message):
+        pd = hopf_link_pd()
+        with pytest.raises(PDCodeError, match=f"^{re.escape(message)}$"):
+            if read == "writhe":
+                pd.writhe(component)
+            else:
+                meridian_word(pd, component)
+
 
 class TestSurgery:
     def test_zero_framed_unknot_gives_infinite_cyclic(self):
@@ -183,6 +197,28 @@ class TestSurgery:
     def test_framing_count_mismatch(self):
         with pytest.raises(PDCodeError):
             surgery_presentation(hopf_link_pd(), [0])
+
+    def test_framing_count_has_one_message(self):
+        messages = set()
+        for build in (hopf_link_pd().linking_matrix,
+                      lambda framings: surgery_presentation(hopf_link_pd(),
+                                                            framings)):
+            with pytest.raises(PDCodeError) as err:
+                build([0])
+            messages.add(str(err.value))
+        assert messages == {"need 2 framings for 2 components, got 1"}
+
+    @pytest.mark.parametrize("build", ["linking_matrix", "surgery"])
+    @pytest.mark.parametrize("framing", [0.7, 0.5, True, "1"])
+    def test_framings_are_ints(self, build, framing):
+        # int() would truncate 0.7 to 0 and read True as 1
+        pd = trefoil_pd()
+        with pytest.raises(PDCodeError, match=(
+                f"^framing must be an integer, got {re.escape(repr(framing))}$")):
+            if build == "linking_matrix":
+                pd.linking_matrix([framing])
+            else:
+                surgery_presentation(pd, [framing])
 
     def test_abelianization_matches_linking_matrix(self):
         fixtures = ((unknot_pd(), 1), (hopf_link_pd(), 2), (trefoil_pd(), 1))
