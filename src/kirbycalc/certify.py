@@ -1,9 +1,11 @@
 """Exact certification tools: integer linear algebra and coset enumeration.
 
 Everything here runs on arbitrary-precision integers; no floating point.
-Smith normal form feeds abelianization checks; its unimodular transforms
-ride on the same row and column operations, which act on one augmented
-matrix.  A relator-driven coset enumerator (with an independent post-hoc
+One Smith elimination serves every cokernel.  ``smith_normal_form`` alone
+builds the unimodular transforms, which ride on the same row and column
+operations of one augmented matrix; H1 and abelianization run the same
+elimination on a bare copy of the matrix and read only its diagonal.  A
+relator-driven coset enumerator (with an independent post-hoc
 verification pass) counts the cosets of a subgroup given by generating
 words.  Over the trivial subgroup that certifies a finite group order.
 Order 1 is certified more cheaply: if the first generator x has index 1,
@@ -131,12 +133,22 @@ def smith_normal_form(mat: IntegerMatrix) -> SmithNormalForm:
     """
     rows, cols = mat.rows, mat.cols
     # One working matrix, [mat | I_rows] over [I_cols | 0]: an operation on
-    # rows of mat also builds left, one on columns of mat also builds right,
-    # and the pivot and divisibility searches read only the mat block.
+    # rows of mat also builds left, one on columns of mat also builds right.
     w = ([list(r) + [1 if i == j else 0 for j in range(rows)]
           for i, r in enumerate(mat.entries)]
          + [[1 if i == j else 0 for j in range(cols)] + [0] * rows
             for i in range(cols)])
+    diag = _diagonalize(w, rows, cols)
+    return SmithNormalForm(diag, IntegerMatrix(row[cols:] for row in w[:rows]),
+                           IntegerMatrix(row[:cols] for row in w[rows:]))
+
+
+def _diagonalize(w: list, rows: int, cols: int) -> tuple[int, ...]:
+    """Bring the leading ``rows`` x ``cols`` block of the working matrix
+    ``w``, a list of row lists, to Smith normal form in place, and return
+    its diagonal.  Every row operation acts on the whole of a row of ``w``,
+    every column operation on the whole of a column, and the pivot and
+    divisibility searches read only the block."""
 
     def swap_cols(i, j):
         for row in w:
@@ -144,16 +156,21 @@ def smith_normal_form(mat: IntegerMatrix) -> SmithNormalForm:
 
     n = min(rows, cols)
     for t in range(n):
-        # smallest nonzero entry in the remaining block becomes the pivot
-        pivot = None
+        # smallest nonzero entry in the remaining block becomes the pivot;
+        # the first entry of absolute value 1 is the first minimal one
+        best = 0
         for i in range(t, rows):
+            row = w[i]
             for j in range(t, cols):
-                v = abs(w[i][j])
-                if v and (pivot is None or v < pivot[0]):
-                    pivot = (v, i, j)
-        if pivot is None:
+                v = abs(row[j])
+                if v and (not best or v < best):
+                    best, pi, pj = v, i, j
+                    if v == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        _, pi, pj = pivot
         if pi != t:
             w[t], w[pi] = w[pi], w[t]
         if pj != t:
@@ -180,9 +197,12 @@ def smith_normal_form(mat: IntegerMatrix) -> SmithNormalForm:
                         dirty = True
             if dirty:
                 continue
-            # enforce divisibility of the remaining block by the pivot
-            culprit = None
+            # enforce divisibility of the remaining block by the pivot; a
+            # unit divides every entry
             d = w[t][t]
+            if d == 1 or d == -1:
+                break
+            culprit = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):
                     if w[i][j] % d:
@@ -195,9 +215,7 @@ def smith_normal_form(mat: IntegerMatrix) -> SmithNormalForm:
             w[t] = [x + y for x, y in zip(w[t], w[culprit])]
         if w[t][t] < 0:
             w[t] = [-x for x in w[t]]
-    diag = tuple(w[i][i] for i in range(n))
-    return SmithNormalForm(diag, IntegerMatrix(row[cols:] for row in w[:rows]),
-                           IntegerMatrix(row[:cols] for row in w[rows:]))
+    return tuple(w[i][i] for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -226,7 +244,7 @@ class AbelianGroup:
 def _cokernel(mat: IntegerMatrix, cols: int) -> AbelianGroup:
     """Cokernel of ``mat`` as a map into Z^cols: the free rank counts the
     columns without a nonzero pivot, the torsion is the pivots above 1."""
-    diag = smith_normal_form(mat).diagonal
+    diag = _diagonalize([list(r) for r in mat.entries], mat.rows, mat.cols)
     free = cols - sum(1 for d in diag if d != 0)
     return AbelianGroup(free, tuple(d for d in diag if d > 1))
 

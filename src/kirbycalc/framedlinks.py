@@ -37,8 +37,8 @@ class Component:
     unknotted: bool = False
 
     def __post_init__(self):
-        if self.framing is not None and type(self.framing) is not int:
-            raise ModelError(f"framing must be an integer, got {self.framing!r}")
+        if self.framing is not None:
+            records.check_framing(self.framing, ModelError)
         if type(self.unknotted) is not bool:
             raise ModelError(f"unknotted must be true or false, got {self.unknotted!r}")
         if self.kind not in (PLAIN, DOTTED):

@@ -1,6 +1,6 @@
 """The rules for input read from outside the program: JSON records, both
-calculi's move records, indices and integer bounds.  Each rule raises the
-caller's own ValueError subclass, in one message format."""
+calculi's move records, indices, integer bounds and framings.  Each rule
+raises the caller's own ValueError subclass, in one message format."""
 
 from __future__ import annotations
 
@@ -30,6 +30,12 @@ def check_int(value, least: int, what: str, error: type) -> None:
     """Require ``value``, a ``what``, to be an int, not a bool, >= least."""
     if type(value) is not int or value < least:
         raise error(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def check_framing(value, error: type) -> None:
+    """Require ``value``, a framing, to be an int, not a bool; any sign."""
+    if type(value) is not int:
+        raise error(f"framing must be an integer, got {value!r}")
 
 
 def check_index(i, count: int, what: str, error: type) -> None:

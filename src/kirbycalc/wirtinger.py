@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 
 from .certify import AbelianGroup, IntegerMatrix, abelianization
 from .presentations import Presentation
-from .records import check_index, json_field, json_list, json_object
+from .records import (check_framing, check_index, json_field, json_list,
+                      json_object)
 from .words import Word
 
 
@@ -176,8 +177,7 @@ class PDCode:
             raise PDCodeError(f"need {n} framings for {n} components, "
                               f"got {len(framings)}")
         for f in framings:
-            if type(f) is not int:
-                raise PDCodeError(f"framing must be an integer, got {f!r}")
+            check_framing(f, PDCodeError)
 
     # -- serialization ----------------------------------------------------------
 
@@ -232,8 +232,16 @@ def meridian_word(pd: PDCode, component: int) -> Word:
 def longitude_word(pd: PDCode, component: int, framing: int) -> Word:
     """Read off the over-arcs passed under while traveling the component,
     then correct by meridian^(framing - writhe) so the exponent sum of the
-    component's own meridians equals the framing exactly."""
+    component's own meridians equals the framing exactly.
+
+    Passing under the over-arc o with sign s turns the arc a into
+    o^s a o^(-s), as the Wirtinger relator says, so after the under-passes
+    o_0, ..., o_(k-1) the meridian's arc has become P a P^(-1) with
+    P = o_(k-1)^(s_(k-1)) ... o_0^(s_0).  A full turn returns to the
+    meridian's arc, so P commutes with the meridian: the over-arc letters
+    are multiplied in reverse travel order."""
     meridian = meridian_word(pd, component)     # checks the component index
+    check_framing(framing, PDCodeError)
     classes = pd.arc_classes()
     under_at = {x.under_in: x for x in pd.crossings}
     letters = []
@@ -242,7 +250,7 @@ def longitude_word(pd: PDCode, component: int, framing: int) -> Word:
         if x is not None:
             letters.append((f"a{classes[x.over_in]}", x.sign))
     correction = framing - pd.writhe(component)
-    return Word(letters) * meridian ** correction
+    return Word(letters[::-1]) * meridian ** correction
 
 
 @dataclass(frozen=True)

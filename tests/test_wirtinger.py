@@ -142,8 +142,9 @@ class TestLongitudes:
         pd = trefoil_pd()
         assert pd.writhe(0) == 3
         # hand computation: under-passes meet the over-arcs a4, a1, a2 in
-        # travel order, then the meridian (a1) to the power 0 - 3
-        assert longitude_word(pd, 0, 0).to_text() == "a4 a1 a2 A1 A1 A1"
+        # travel order, multiplied in reverse order, then the meridian (a1)
+        # to the power 0 - 3
+        assert longitude_word(pd, 0, 0).to_text() == "a2 a1 a4 A1 A1 A1"
         assert sum(longitude_word(pd, 0, 0).exponent_sum(g)
                    for g in wirtinger_presentation(pd).generators) == 0
 
@@ -164,6 +165,13 @@ class TestLongitudes:
         with pytest.raises(PDCodeError):
             longitude_word(unknot_pd(), 3, 0)
 
+    @pytest.mark.parametrize("framing", [0.5, True, "1"])
+    def test_framing_is_an_int(self, framing):
+        # 0.5 and "1" would fail inside Word.__pow__, and True read as 1
+        with pytest.raises(PDCodeError, match=(
+                f"^framing must be an integer, got {re.escape(repr(framing))}$")):
+            longitude_word(trefoil_pd(), 0, framing)
+
     @pytest.mark.parametrize("component, message", [
         (-1, "component index must be an integer >= 0, got -1"),
         (True, "component index must be an integer >= 0, got True"),
@@ -177,6 +185,25 @@ class TestLongitudes:
                 pd.writhe(component)
             else:
                 meridian_word(pd, component)
+
+    @pytest.mark.parametrize("group", ["S3", "A4"])
+    @pytest.mark.parametrize("pd, component", [
+        (trefoil_pd(), 0), (square_knot_pd(), 0), (granny_knot_pd(), 0),
+        (hopf_link_pd(), 0), (hopf_link_pd(), 1)],
+        ids=["trefoil", "square", "granny", "hopf-0", "hopf-1"])
+    def test_longitude_commutes_with_meridian(self, pd, component, group):
+        # the longitude is peripheral, so [meridian, longitude] = 1 in
+        # every representation.  In S3 an odd product of transpositions is
+        # its own reverse, so S3 is blind to the letter order; A4 sees it.
+        group = GROUPS[group]
+        meridian = meridian_word(pd, component)
+        longitude = longitude_word(pd, component, 0)
+        homs = list(homomorphisms(wirtinger_presentation(pd), group))
+        # the homomorphisms onto one element number |G|; these are more
+        assert len(homs) > len(group)
+        for images in homs:
+            mu, lam = _image(meridian, images), _image(longitude, images)
+            assert _compose(mu, lam) == _compose(lam, mu)
 
 
 class TestSurgery:
@@ -228,6 +255,23 @@ class TestSurgery:
                 want = h1_from_matrix(pd.linking_matrix(list(framings)))
                 assert (got.rank, got.torsion) == (want.rank, want.torsion)
 
+    @pytest.mark.parametrize("framing, order, defined", [
+        (1, 120, 233), (5, 5, 43), (7, 7, 126)])
+    def test_trefoil_surgery_orders(self, framing, order, defined):
+        # +1 gives the Poincare homology sphere, whose fundamental group is
+        # the binary icosahedral group; +5 and +7 give lens spaces
+        table = todd_coxeter(
+            surgery_presentation(trefoil_pd(), [framing]).presentation, 10_000)
+        assert (table.status, table.order, table.defined) == \
+            ("closed", order, defined)
+
+    def test_minus_one_trefoil_surgery_is_infinite(self):
+        # -1 gives the Brieskorn sphere of type (2, 3, 7) up to orientation,
+        # whose fundamental group is infinite: no budget closes it
+        table = todd_coxeter(
+            surgery_presentation(trefoil_pd(), [-1]).presentation, 2_000)
+        assert table.status == "budget"
+
     def test_meridians_normally_generate(self):
         # free-abelianization fixtures: adding the meridians must kill the
         # whole group, certified by coset enumeration closing at order 1
@@ -265,6 +309,56 @@ def fox_colorings(pd: PDCode, p: int = 3) -> int:
                 - color[classes[x.under_out]]) % p == 0 for x in pd.crossings):
             count += 1
     return count
+
+
+def _even(p) -> bool:
+    return sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0
+
+
+# permutation groups, the identity first
+GROUPS = {"S3": tuple(itertools.permutations(range(3))),
+          "A4": tuple(filter(_even, itertools.permutations(range(4))))}
+
+
+def _compose(p, q):
+    """The permutation p after q."""
+    return tuple(p[i] for i in q)
+
+
+def _inverse(p):
+    return tuple(p.index(i) for i in range(len(p)))
+
+
+def _image(word, images):
+    """The permutation a word maps to, given the images of its generators."""
+    out = tuple(range(len(next(iter(images.values())))))
+    for symbol, sign in word:
+        g = images[symbol]
+        out = _compose(out, g if sign > 0 else _inverse(g))
+    return out
+
+
+def homomorphisms(p: Presentation, group):
+    """Every homomorphism from the group of ``p`` to the permutation group
+    ``group``, as a dict from generator to permutation, by backtracking over
+    the generators in order; a relator is checked once all its generators
+    have images."""
+    identity = group[0]
+    ready = [[r for r in p.relators if r.symbols <= set(p.generators[:k + 1])
+              and not r.symbols <= set(p.generators[:k])]
+             for k in range(len(p.generators))]
+
+    def extend(images, k):
+        if k == len(p.generators):
+            yield dict(images)
+            return
+        for g in group:
+            images[p.generators[k]] = g
+            if all(_image(r, images) == identity for r in ready[k]):
+                yield from extend(images, k + 1)
+        del images[p.generators[k]]
+
+    yield from extend({}, 0)
 
 
 class TestMirrorAndConnectedSum:
