@@ -14,8 +14,12 @@ Only children that can be the goal or add a key are built.  A conjugation
 rotates the cyclic core of its relator, which the key quotients, so a
 conjugate child shares its parent's key: it is yielded only where it is
 the goal.  The conjugated relators c * r_j * c^-1 of a relator are
-deduplicated, since equal ones give equal products.  A product's length
-follows from the cancellation at its junction, so the cap is checked
+deduplicated, since equal ones give equal products.  They are built down
+the conjugator prefix tree: the conjugate by c = a * c' comes from the one
+by c' in two one-letter steps, and conjugators stop at the cap, as a longer
+one gives no product within it.  A product's length follows from the
+cancellation at its junction, which is looked for only where the conjugate
+starts with the inverse of the relator's last letter, so the cap is checked
 before the product is allocated.
 
 The root and every child are keyed by one call, ``kernel.search_key``, over
@@ -135,8 +139,11 @@ def is_trivial_form(p: BalancedPresentation) -> bool:
 
 @lru_cache(maxsize=None)
 def _conjugators(n_gens: int, depth: int):
-    """Freely reduced conjugator words of length <= depth, each paired with
-    its inverse, in length-lex order over the letters x0, X0, x1, X1, ..."""
+    """Freely reduced conjugator words of length <= depth, in length-lex
+    order over the letters x0, X0, x1, X1, ..., as a prefix tree: each entry
+    is (c, a, k) for c = a * c[1:], where a is c's first letter and k the
+    index of c[1:] in the table.  The root b"" comes first, with a and k
+    None."""
     words = [b""]
     level = [b""]
     for _ in range(depth):
@@ -148,7 +155,9 @@ def _conjugators(n_gens: int, depth: int):
                 nxt.append(w + kernel.LETTERS[a])
         words.extend(nxt)
         level = nxt
-    return tuple((w, kernel.invert_word(w)) for w in words)
+    index = {w: k for k, w in enumerate(words)}
+    return ((b"", None, None),
+            *((w, w[0], index[w[1:]]) for w in words[1:]))
 
 
 # -- move application (symbolic, for replay) --------------------------------
@@ -203,11 +212,19 @@ def _name_moves(p: BalancedPresentation,
 
 def _conjugates(s, conjugators):
     """Each distinct freely reduced conj * s * conj^-1, mapped to its first
-    conjugator in the order of ``conjugators``: (conj, inverse) pairs."""
-    conjugates = {}
-    for conj, inverse in conjugators:
-        conjugates.setdefault(
-            kernel.join_reduced(kernel.join_reduced(conj, s), inverse), conj)
+    conjugator in the order of ``conjugators``, a prefix tree as
+    ``_conjugators`` builds it; s must be freely reduced.  The conjugate by
+    c = a * c' is built from the one by c' in one-letter steps: a left
+    factor a cancels a leading a^-1 or is prepended, and a right factor
+    a^-1 cancels a trailing a or is appended."""
+    words = [s]
+    conjugates = {s: b""}
+    for conj, a, k in conjugators[1:]:
+        u = words[k]
+        u = u[1:] if u and u[0] == a ^ 1 else kernel.LETTERS[a] + u
+        u = u[:-1] if u and u[-1] == a else u + kernel.LETTERS[a ^ 1]
+        words.append(u)
+        conjugates.setdefault(u, conj)
     return conjugates
 
 
@@ -236,9 +253,14 @@ def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
       each distinct t is kept with its first conjugator.  The set of them
       for a relator is built once per search and generator count, in the
       memo ``conjugate_sets`` (a child shares all relators but one with
-      its parent);
-    - the length of r_i * t comes from the cancellation at its junction,
-      and only a product within the cap is built.
+      its parent), down the conjugator prefix tree, each t from the one
+      by c[1:] in one-letter steps;
+    - conjugators are taken to depth at most the cap, since a longer one
+      adds no product within it;
+    - r_i * t cancels at its junction only when t starts with the inverse
+      of r_i's last letter.  Only then is the cancellation counted; else
+      the product is r_i + t, and either way only a product within the
+      cap is built.
     """
     n = len(rels)
     total = sum(len(r) for r in rels)
@@ -257,7 +279,17 @@ def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
         if kernel.is_trivial_encoded(child, n):
             yield {"move": "conjugate", "i": i, "conj": conj}, child
 
-    conjugators = _conjugators(n, cfg.conjugator_depth)
+    # A conjugator longer than the cap adds no kept product.  A product
+    # r * t with t = c * s * c^-1 is kept when |t| - 2k <= room, where
+    # k <= |r| letters cancel and room <= cap - |r| - |s|, so
+    # |t| + |s| <= cap + |r| <= 2 * cap - |s|.  Write s = u * s0 * u^-1 and
+    # t = v * s0' * v^-1 with s0 cyclically reduced and s0' = p^-1 * s0 * p
+    # a rotation of it (|p| < |s0|, or t = s = b"").  Then c = v * p^-1 *
+    # u^-1 gives t and has length <= (|t| + |s|) / 2 - 1 < cap, so t's
+    # length-lex first conjugator is no longer: the kept entries of a set,
+    # their conjugators and their order are those of the unclamped depth.
+    conjugators = _conjugators(
+        n, min(cfg.conjugator_depth, cfg.max_total_length))
     conjugates = []
     for s in rels:
         key = (n, s)
@@ -269,15 +301,22 @@ def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
         conjugates.append(found)
     for i in range(n):
         r = rels[i]
+        head, tail = rels[:i], rels[i + 1:]
+        # only a t that starts with this letter cancels against r
+        cancel = r[-1] ^ 1 if r else None
         for j in range(n):
             if i == j:
                 continue
             for t, conj in conjugates[j].items():
-                k = kernel.junction_cancellation(r, t)
-                if len(t) - 2 * k <= room:
-                    move = {"move": "multiply", "i": i, "j": j, "conj": conj}
-                    yield move, \
-                        rels[:i] + (r[:len(r) - k] + t[k:],) + rels[i + 1:]
+                if t and t[0] == cancel:
+                    k = kernel.junction_cancellation(r, t)
+                    if len(t) - 2 * k <= room:
+                        yield {"move": "multiply", "i": i, "j": j,
+                               "conj": conj}, \
+                            head + (r[:len(r) - k] + t[k:],) + tail
+                elif len(t) <= room:
+                    yield {"move": "multiply", "i": i, "j": j,
+                           "conj": conj}, head + (r + t,) + tail
 
     if n - base_gens < cfg.stabilizations and room >= 1:
         yield {"move": "stabilize"}, rels + (kernel.LETTERS[n << 1],)

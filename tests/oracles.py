@@ -417,7 +417,7 @@ def ref_canonical_key(relators, n_gens):
 # repeated conjugates and products over the cap were left unbuilt: every
 # legal child, each product built in full and then measured against the cap.
 
-def _ref_conjugators(n_gens, depth):
+def ref_conjugators(n_gens, depth):
     """Freely reduced conjugator words of length <= depth, in length-lex
     order over the letters x0, X0, x1, X1, ..."""
     words = [b""]
@@ -465,7 +465,7 @@ def ref_expand(rels, cfg, base_gens):
                 yield {"move": "conjugate", "i": i, "conj": conj}, i, \
                     rels[:i] + (new,) + rels[i + 1:]
 
-    conjugators = _ref_conjugators(n, cfg.conjugator_depth)
+    conjugators = ref_conjugators(n, cfg.conjugator_depth)
     for i in range(n):
         rest = total - len(rels[i])
         for j in range(n):

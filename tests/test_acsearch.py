@@ -15,9 +15,11 @@ from kirbycalc.acsearch.core import (_conjugates, _expand, _name_moves,
 from kirbycalc.pipeline import run_pipeline
 from kirbycalc.presentations import (BalancedPresentation, ak_presentation,
                                      stabilize)
+from kirbycalc.words import decode_word
 
-from oracles import (brute_force_trivializable, ref_canonical_key, ref_expand,
-                     ref_reduce_word, ref_search_key)
+from oracles import (brute_force_trivializable, ref_canonical_key,
+                     ref_conjugators, ref_expand, ref_reduce_word,
+                     ref_search_key)
 
 B = BalancedPresentation
 
@@ -217,10 +219,21 @@ def join_inputs(draw):
     return r, s, c
 
 
+def _suffix_tree(c):
+    """The conjugator prefix tree of c's suffixes c[k:], as _conjugators
+    lays one out: each entry one letter longer than the one before it."""
+    n = len(c)
+    return ((b"", None, None),
+            *((c[k:], c[k], n - 1 - k) for k in reversed(range(n))))
+
+
 def _product(r, s, c):
-    """r * c * s * c^-1 as _expand builds it: the conjugate t from
-    _conjugates, then r and t cut at their junction."""
-    (t,) = _conjugates(s, ((c, kernel.invert_word(c)),))
+    """r * c * s * c^-1 as _expand builds it: the conjugate t of s by c
+    from _conjugates, then r and t cut at their junction.  A set keeps each
+    conjugate once, under its first conjugator, so t is looked up by value
+    in the set over c's suffixes, where it must be."""
+    t = ref_reduce_word(c + s + kernel.invert_word(c))
+    assert t in _conjugates(s, _suffix_tree(c))
     k = kernel.junction_cancellation(r, t)
     return r[:len(r) - k] + t[k:]
 
@@ -246,6 +259,46 @@ class TestJoinReduced:
         assert _product(r, s, c) == b""
         assert kernel.conjugate_relator(b"\5\2\0\3\4", c) == b"\0"
         assert _product(b"", b"", b"") == b""
+
+
+@st.composite
+def conjugate_inputs(draw):
+    """A generator count of 1-3, a conjugator depth of 0-3 and a freely
+    reduced word s over those generators: now and then empty, and now and
+    then u * w * u^-1, not cyclically reduced."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    word = st.lists(st.integers(min_value=0, max_value=2 * n - 1),
+                    max_size=8).map(bytes).map(ref_reduce_word)
+    u, w = draw(word), draw(word)
+    s = draw(st.sampled_from(
+        [b"", w, ref_reduce_word(u + w + kernel.invert_word(u))]))
+    return n, draw(st.integers(min_value=0, max_value=3)), s
+
+
+class TestConjugateTree:
+    """The conjugator table is a prefix tree in length-lex order, and the
+    conjugate sets built down it are the sets of reduced c * s * c^-1, each
+    under its first conjugator, in the same order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_entries_name_their_suffix(self, n, depth):
+        table = core._conjugators(n, depth)
+        assert [c for c, _, _ in table] == list(ref_conjugators(n, depth))
+        assert table[0] == (b"", None, None)
+        for c, a, k in table[1:]:
+            assert a == c[0] and table[k][0] == c[1:]
+
+    @given(conjugate_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reduced_conjugates(self, case):
+        n, depth, s = case
+        table = core._conjugators(n, depth)
+        expected = {}
+        for c, _, _ in table:
+            expected.setdefault(
+                ref_reduce_word(c + s + kernel.invert_word(c)), c)
+        assert list(_conjugates(s, table).items()) == list(expected.items())
 
 
 @st.composite
@@ -390,15 +443,18 @@ class TestPrunedExpansion:
     the goal, in the same order, so the search's first occurrence of every
     key and of the goal are unchanged."""
 
-    @given(expand_inputs())
+    # depth 0 leaves the conjugator tree its root b"" alone; depth 3
+    # chains two prefix steps
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @given(case=expand_inputs())
     @settings(max_examples=100, deadline=None)
-    def test_matches_pruned_reference(self, case):
+    def test_matches_pruned_reference(self, depth, case):
         rels, base_gens = case
         # the search expands no trivial node: the root returns at once and
         # a trivial child ends the search at its level
         assume(not kernel.is_trivial_encoded(rels, len(rels)))
         cfg = SearchConfig(max_total_length=40, max_depth=1,
-                           conjugator_depth=2, stabilizations=1)
+                           conjugator_depth=depth, stabilizations=1)
         expected = _pruned_reference(rels, cfg, base_gens)
         conjugate_sets = {}
         assert list(_expand(rels, cfg, base_gens, conjugate_sets)) == expected
@@ -631,6 +687,53 @@ class TestPinnedSearch:
         trace, final = _name_moves(p, moves)
         assert [m.get("conj") for m in trace] == [None, "g", None, "g"]
         assert final == replay_trace(p, trace) == B(("y", "g"), ("y", "g g y G"))
+
+
+@st.composite
+def clamp_inputs(draw):
+    """A 2-generator presentation with a cap of 1-6 on its total length, a
+    conjugator depth one or two beyond the cap, and a search depth of 1-3."""
+    cap = draw(st.integers(min_value=1, max_value=6))
+    rels = []
+    for _ in range(2):
+        word = draw(st.lists(st.integers(min_value=0, max_value=3),
+                             max_size=cap - sum(map(len, rels))))
+        rels.append(ref_reduce_word(bytes(word)))
+    p = B(("x", "y"), tuple(decode_word(r, ("x", "y")).to_text()
+                            for r in rels))
+    return p, SearchConfig(
+        max_total_length=cap, max_depth=draw(st.integers(1, 3)),
+        conjugator_depth=cap + draw(st.integers(1, 2)), node_budget=60)
+
+
+class TestConjugatorDepthCap:
+    """A conjugator longer than the cap adds no kept product, so the search
+    takes its conjugators to depth min(conjugator_depth, max_total_length)
+    and gives the outcome of the unclamped depth."""
+
+    @given(clamp_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_clamped_search_matches_unclamped(self, case):
+        p, cfg = case
+        table = core._conjugators
+        with mock.patch.object(core, "_conjugators", lambda n, depth:
+                               table(n, cfg.conjugator_depth)):
+            unclamped = search(p, cfg)
+        assert search(p, cfg).to_json() == unclamped.to_json()
+
+    def test_depth_beyond_cap_builds_no_deeper_table(self):
+        depths = []
+        table = core._conjugators
+
+        def recorded(n, depth):
+            depths.append(depth)
+            return table(n, depth)
+
+        repro = TestPinnedSearch.REPRO
+        with mock.patch.object(core, "_conjugators", recorded):
+            out = search(repro, SearchConfig(9, 2, 12))
+        assert set(depths) == {9}
+        assert out == search(repro, SearchConfig(9, 2, 9))
 
 
 class TestReplay:
