@@ -13,14 +13,16 @@ operations before it is returned.
 Only children that can be the goal or add a key are built.  A conjugation
 rotates the cyclic core of its relator, which the key quotients, so a
 conjugate child shares its parent's key: it is yielded only where it is
-the goal.  The conjugated relators c * r_j * c^-1 of a relator are
-deduplicated, since equal ones give equal products.  They are built down
-the conjugator prefix tree: the conjugate by c = a * c' comes from the one
-by c' in two one-letter steps, and conjugators stop at the cap, as a longer
-one gives no product within it.  A product's length follows from the
-cancellation at its junction, which is looked for only where the conjugate
-starts with the inverse of the relator's last letter, so the cap is checked
-before the product is allocated.
+the goal, and then it is the relator's cyclic core.  The conjugated
+relators c * r_j * c^-1 of a relator are deduplicated, since equal ones
+give equal products.  They are built down the conjugator prefix tree, the
+search's one conjugation routine: the conjugate by c = a * c' comes from
+the one by c' in two one-letter steps, and conjugators stop two letters
+short of the cap, as a longer one gives no product within it.  A
+product's length follows from the cancellation at its junction, which is
+looked for only where the conjugate starts with the inverse of the
+relator's last letter, so the cap is checked before the product is
+allocated.
 
 The root and every child are keyed by one call, ``kernel.search_key``, over
 their relators' rotation columns (a relator's least rotations under every
@@ -28,9 +30,9 @@ relabeling).  A child shares all its relators but one with its parent, so
 each search memoizes per relator, keyed by generator count and relator
 ``bytes``, its rotation column and its set of conjugates; keying a child
 builds the column of its new relator only.  Both memos are plain dicts
-that live for one ``search`` call and are cleared whole at a fixed size
-(``kernel.MEMO_ROTATIONS`` least rotations, ``MEMO_CONJUGATES`` conjugated
-words), so no state carries from one search to the next.
+that live for one ``search`` call and are cleared whole at one fixed size,
+``kernel.MEMO_WORDS`` words (least rotations or conjugated words), so no
+state carries from one search to the next.
 """
 
 from __future__ import annotations
@@ -228,11 +230,6 @@ def _conjugates(s, conjugators):
     return conjugates
 
 
-# A search's conjugate memo is cleared whole once it would hold more
-# conjugated words than this; a set holds one per conjugator at most.
-MEMO_CONJUGATES = 8192
-
-
 def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
     """The single-move successors that can be the goal or add a key, as
     (move, child) pairs, in the fixed enumeration order: inversions, a
@@ -247,16 +244,17 @@ def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
       quotients, so a conjugate child has its parent's key.  Only where it
       is the goal (every other relator one letter, and the cyclic core of
       this one a single letter) is it yielded, once, with the first
-      conjugator; the search keys it like any other child, and finds its
-      parent's key;
+      conjugator.  A one-letter core is its own conjugate by that letter,
+      so the child is built as the cyclic core.  The search keys it like
+      any other child, and finds its parent's key;
     - r_i * t is the same word for equal conjugates t = c * r_j * c^-1, so
       each distinct t is kept with its first conjugator.  The set of them
       for a relator is built once per search and generator count, in the
       memo ``conjugate_sets`` (a child shares all relators but one with
       its parent), down the conjugator prefix tree, each t from the one
       by c[1:] in one-letter steps;
-    - conjugators are taken to depth at most the cap, since a longer one
-      adds no product within it;
+    - conjugators are taken to depth at most the cap less two, since a
+      longer one adds no product within it;
     - r_i * t cancels at its junction only when t starts with the inverse
       of r_i's last letter.  Only then is the cancellation counted; else
       the product is r_i + t, and either way only a product within the
@@ -273,29 +271,30 @@ def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
     longer = [i for i, r in enumerate(rels) if len(r) != 1]
     if len(longer) == 1:
         i = longer[0]
-        conj = kernel.LETTERS[0]
-        child = rels[:i] + (kernel.conjugate_relator(rels[i], conj),) \
-            + rels[i + 1:]
+        child = rels[:i] + (kernel.cyclic_core(rels[i]),) + rels[i + 1:]
         if kernel.is_trivial_encoded(child, n):
-            yield {"move": "conjugate", "i": i, "conj": conj}, child
+            yield {"move": "conjugate", "i": i,
+                   "conj": kernel.LETTERS[0]}, child
 
-    # A conjugator longer than the cap adds no kept product.  A product
-    # r * t with t = c * s * c^-1 is kept when |t| - 2k <= room, where
-    # k <= |r| letters cancel and room <= cap - |r| - |s|, so
+    # A conjugator longer than the cap less two adds no kept product.  A
+    # product r * t with t = c * s * c^-1 is kept when |t| - 2k <= room,
+    # where k <= |r| letters cancel and room <= cap - |r| - |s|, so
     # |t| + |s| <= cap + |r| <= 2 * cap - |s|.  Write s = u * s0 * u^-1 and
     # t = v * s0' * v^-1 with s0 cyclically reduced and s0' = p^-1 * s0 * p
     # a rotation of it (|p| < |s0|, or t = s = b"").  Then c = v * p^-1 *
-    # u^-1 gives t and has length <= (|t| + |s|) / 2 - 1 < cap, so t's
+    # u^-1 gives t and has length <= (|t| + |s|) / 2 - 1 <= cap - 2 for a
+    # non-empty s; an empty s gives only t = b"", under the root.  So t's
     # length-lex first conjugator is no longer: the kept entries of a set,
     # their conjugators and their order are those of the unclamped depth.
+    # A cap below 2 gives a negative depth, whose table is the root only.
     conjugators = _conjugators(
-        n, min(cfg.conjugator_depth, cfg.max_total_length))
+        n, min(cfg.conjugator_depth, cfg.max_total_length - 2))
     conjugates = []
     for s in rels:
         key = (n, s)
         found = conjugate_sets.get(key)
         if found is None:
-            if len(conjugate_sets) >= MEMO_CONJUGATES // len(conjugators):
+            if len(conjugate_sets) >= kernel.MEMO_WORDS // len(conjugators):
                 conjugate_sets.clear()
             found = conjugate_sets[key] = _conjugates(s, conjugators)
         conjugates.append(found)
@@ -364,7 +363,7 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
     rels = encode_presentation(p)
     base_gens = len(rels)
     # per generator count, each relator's rotation column and conjugate
-    # set, built once per search (kernel.MEMO_ROTATIONS, MEMO_CONJUGATES)
+    # set, built once per search (each memo bounded by kernel.MEMO_WORDS)
     columns: dict = {}
     conjugate_sets: dict = {}
     root_key = kernel.search_key(rels, base_gens, columns)

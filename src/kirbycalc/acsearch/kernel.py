@@ -16,8 +16,8 @@ node under relabeling k.  A key reads its columns from a memo, a dict keyed
 by generator count and relator (stabilizing keeps the relators but changes
 the relabelings): ``search_key`` takes the search's memo, so each column is
 built once per search, and ``canonical_key`` keeps one for the call.  The
-memo is cleared whole once it would hold more than ``MEMO_ROTATIONS`` least
-rotations.
+memo is cleared whole once it would hold more than ``MEMO_WORDS`` least
+rotations; the search's conjugate memo shares that bound.
 
 Precondition: relators are ``bytes`` whose letters are below 2 * n_gens,
 and n_gens <= 127, so 0xFF is never a letter.  ``core.encode_presentation``
@@ -66,18 +66,6 @@ def junction_cancellation(u, v):
     while k < m and u[n - 1 - k] == v[k] ^ 1:
         k += 1
     return k
-
-
-def join_reduced(u, v):
-    """Freely reduced u * v for freely reduced u and v."""
-    k = junction_cancellation(u, v)
-    return u[:len(u) - k] + v[k:]
-
-
-def conjugate_relator(r, conj):
-    """Cyclically reduced conj * r * conj^-1; r and conj must be freely
-    reduced."""
-    return cyclic_core(join_reduced(join_reduced(conj, r), invert_word(conj)))
 
 
 def least_rotation(word):
@@ -147,10 +135,11 @@ def _tables(n_gens):
             else _relabel_tables(n_gens))
 
 
-# A search's column memo is cleared whole once it would hold more least
-# rotations than this.  A column holds n_gens! of them, so the memo's size
-# does not grow with the generator count.
-MEMO_ROTATIONS = 8192
+# Each memo of a search is cleared whole once it would hold more words than
+# this: the column memo least rotations (n_gens! per column, so its size
+# does not grow with the generator count), ``core._expand``'s conjugate memo
+# conjugated words (at most one per conjugator in a set).
+MEMO_WORDS = 8192
 
 
 def _column(relator, n_gens, columns):
@@ -159,7 +148,7 @@ def _column(relator, n_gens, columns):
     key = (n_gens, relator)
     column = columns.get(key)
     if column is None:
-        if len(columns) >= MEMO_ROTATIONS // factorial(n_gens):
+        if len(columns) >= MEMO_WORDS // factorial(n_gens):
             columns.clear()
         core = cyclic_core(relator)
         column = columns[key] = tuple([least_rotation(core.translate(relabel))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 
@@ -18,6 +19,12 @@ from .presentations import BalancedPresentation, Presentation
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with "-" and a digit, so such an argument is a
+        # value ("-3/5", "--framings -1,2"), as argparse reads "-3" or "-.5"
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValueError(message)

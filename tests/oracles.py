@@ -12,8 +12,9 @@ the coset enumerator against the list-of-rows implementation the flat
 table replaced, which defines one coset per call (it borrows only the
 package's letter coding, word coercion and result type).  The successor
 generator the search used before it pruned children that cannot add a node
-is kept as ``ref_expand``; it borrows the search kernel's word primitives,
-which the tests check against plain free reduction, ``ref_reduce_word``.
+is kept as ``ref_expand``; it reduces its products and conjugates by plain
+free reduction, ``ref_reduce_word``, and its own cyclic core, and takes
+nothing from the search kernel.
 """
 
 from fractions import Fraction as F
@@ -21,7 +22,6 @@ from itertools import combinations, permutations
 from math import gcd
 from typing import Optional
 
-from kirbycalc.acsearch import kernel
 from kirbycalc.certify import CosetTable, IntegerMatrix, SmithNormalForm
 from kirbycalc.presentations import Presentation
 from kirbycalc.words import encode_word, letter_codes
@@ -428,17 +428,26 @@ def ref_conjugators(n_gens, depth):
             for a in range(2 * n_gens):
                 if w and w[-1] == a ^ 1:
                     continue
-                nxt.append(w + kernel.LETTERS[a])
+                nxt.append(w + bytes((a,)))
         words.extend(nxt)
         level = nxt
     return tuple(words)
 
 
+def _ref_invert_word(word):
+    return bytes(a ^ 1 for a in reversed(word))
+
+
 def _ref_multiply_relator(r, s, conj):
-    """Freely reduced r * conj * s * conj^-1; r, s and conj must be freely
-    reduced."""
-    return kernel.join_reduced(r, kernel.join_reduced(
-        kernel.join_reduced(conj, s), kernel.invert_word(conj)))
+    """Freely reduced r * conj * s * conj^-1."""
+    return ref_reduce_word(r + conj + s + _ref_invert_word(conj))
+
+
+def ref_conjugate(r, conj):
+    """Cyclically reduced conj * r * conj^-1, as the conjugation move
+    leaves it."""
+    return bytes(_ref_cyclic_core(ref_reduce_word(
+        conj + r + _ref_invert_word(conj))))
 
 
 def ref_expand(rels, cfg, base_gens):
@@ -455,12 +464,12 @@ def ref_expand(rels, cfg, base_gens):
 
     for i in range(n):
         yield {"move": "invert", "i": i}, i, \
-            rels[:i] + (kernel.invert_word(rels[i]),) + rels[i + 1:]
+            rels[:i] + (_ref_invert_word(rels[i]),) + rels[i + 1:]
 
     for i in range(n):
         rest = total - len(rels[i])
-        for conj in kernel.LETTERS[:2 * n]:
-            new = kernel.conjugate_relator(rels[i], conj)
+        for conj in (bytes((a,)) for a in range(2 * n)):
+            new = ref_conjugate(rels[i], conj)
             if rest + len(new) <= cap:
                 yield {"move": "conjugate", "i": i, "conj": conj}, i, \
                     rels[:i] + (new,) + rels[i + 1:]
@@ -478,7 +487,7 @@ def ref_expand(rels, cfg, base_gens):
                     yield move, i, rels[:i] + (new,) + rels[i + 1:]
 
     if n - base_gens < cfg.stabilizations and total + 1 <= cap:
-        yield {"move": "stabilize"}, None, rels + (kernel.LETTERS[n << 1],)
+        yield {"move": "stabilize"}, None, rels + (bytes((n << 1,)),)
 
     for i in range(n):
         if len(rels[i]) != 1:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 import kirbycalc
-from kirbycalc import framedlinks, pipeline
+from kirbycalc import framedlinks, pipeline, slopes
 from kirbycalc.acsearch import core
 from kirbycalc.certify import certification_report
 from kirbycalc.cli import main
@@ -64,6 +64,18 @@ class TestCurves:
     def test_bad_slope_is_usage_error(self, capsys):
         code, _, err = run(capsys, "curves", "classify", "pi")
         assert code == 1 and "error" in err
+
+    def test_classify_negative_slope(self, capsys):
+        # the help text's own example: a value, not an option
+        code, out, err = run(capsys, "curves", "classify", "-3/5")
+        assert code == 0 and err == ""
+        assert json.loads(out) == json.loads(json.dumps(
+            slopes.classify(slopes.Slope.from_text("-3/5"))))
+
+    def test_unknown_option_still_refused(self, capsys):
+        code, out, err = run(capsys, "curves", "classify", "-x")
+        assert code == 1 and out == ""
+        assert "the following arguments are required: slope" in err
 
 
 class TestCertify:
@@ -423,6 +435,17 @@ class TestWirtinger:
         assert code == 1 and out == ""
         assert err == (f"error: bad framings {framings!r}: expected integers "
                        "separated by commas\n")
+
+    @pytest.mark.parametrize("argv", [("--framings", "-1,2"),
+                                      ("--framings=-1,2",)])
+    def test_negative_first_framing(self, capsys, tmp_path, argv):
+        pd = write(tmp_path, "hopf.json", hopf_link_pd().to_json())
+        code, out, err = run(capsys, "wirtinger", pd, *argv)
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["framings"] == [-1, 2]
+        # linking matrix [[-1, 1], [1, 2]] up to the sign of the linking
+        assert data["abelianization"] == {"rank": 0, "torsion": [3]}
 
     def test_double_dash_framings_refused(self, capsys, tmp_path):
         # argparse reads "--framings=--" as an empty list, not as text

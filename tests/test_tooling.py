@@ -6,7 +6,9 @@ same versions.  Read with a regex: Python 3.10 has no tomllib.
 
 The benchmark's tracer wraps the package functions that
 ``perfbench/spans.py`` names; each name must resolve, or a traced run stops
-at ``Tracer.install``."""
+at ``Tracer.install``.  Its workloads and runner call the package as
+``kc.<module>.<name>``; each of those must resolve too, or the benchmark
+fails where the tests passed."""
 
 import ast
 import importlib
@@ -56,3 +58,50 @@ def test_benchmark_span_names_resolve(module, attr, span):
         assert hasattr(owner, part), f"{module}.{attr} (span {span}) is gone"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def benchmark_package_names() -> list:
+    """Each (module, name) of ``perfbench/workloads.py`` and
+    ``perfbench/run.py`` read as ``kc.<module>.<name>``, or as
+    ``<alias>.<name>`` after ``<alias> = kc.<module>`` in the same function
+    (``kc`` is always a function's parameter or local), from their source
+    without running it."""
+    found = set()
+    for path in ("workloads.py", "run.py"):
+        tree = ast.parse((ROOT / "perfbench" / path).read_text())
+        for scope in ast.walk(tree):
+            if not isinstance(scope, ast.FunctionDef):
+                continue
+            aliases = {}
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)
+                        and isinstance(node.value, ast.Attribute)
+                        and getattr(node.value.value, "id", None) == "kc"):
+                    aliases[node.targets[0].id] = node.value.attr
+            for node in ast.walk(scope):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                owner = node.value
+                if (isinstance(owner, ast.Attribute)
+                        and getattr(owner.value, "id", None) == "kc"):
+                    found.add((owner.attr, node.attr))
+                elif getattr(owner, "id", None) in aliases:
+                    found.add((aliases[owner.id], node.attr))
+    return sorted(found)
+
+
+BENCHMARK_NAMES = benchmark_package_names()
+
+
+def test_benchmark_reads_package_names():
+    # the reader finds the benchmark's calls at all
+    assert ("acsearch", "search") in BENCHMARK_NAMES
+    assert ("presentations", "ak_presentation") in BENCHMARK_NAMES
+
+
+@pytest.mark.parametrize("module, name", BENCHMARK_NAMES,
+                         ids=[f"{m}.{n}" for m, n in BENCHMARK_NAMES])
+def test_benchmark_package_names_resolve(module, name):
+    owner = importlib.import_module(f"kirbycalc.{module}")
+    assert hasattr(owner, name), f"kirbycalc.{module}.{name} is gone"
