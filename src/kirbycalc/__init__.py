@@ -1,4 +1,4 @@
 """Symbolic workbench for framed-link calculus, Andrews-Curtis search, and
 slope enumeration on the 4-punctured sphere."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

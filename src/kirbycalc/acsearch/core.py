@@ -30,9 +30,14 @@ relabeling).  A child shares all its relators but one with its parent, so
 each search memoizes per relator, keyed by generator count and relator
 ``bytes``, its rotation column and its set of conjugates; keying a child
 builds the column of its new relator only.  Both memos are plain dicts
-that live for one ``search`` call and are cleared whole at one fixed size,
-``kernel.MEMO_WORDS`` words (least rotations or conjugated words), so no
-state carries from one search to the next.
+that live for one ``search`` call, so no state carries from one search to
+the next.  Each is cleared at one fixed size, ``kernel.MEMO_WORDS`` words
+(least rotations or conjugated words), but never below one node's worth,
+and keeps the entries of the node being worked on.
+
+The search stops at its goal, the first trivial child in enumeration
+order: the rest of that level is neither expanded nor keyed, and neither
+is the goal child.
 """
 
 from __future__ import annotations
@@ -87,9 +92,13 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     """Counts of one search.  ``levels`` holds one record per expanded
-    level: ``frontier`` (nodes expanded), ``children`` (children keyed) and
+    level: ``frontier`` (nodes expanded), ``children`` (children built) and
     ``new`` (keys added).  ``max_frontier`` is the largest ``new`` of any
-    level, or 1, the root."""
+    level, or 1, the root.  A trivialized search stops at its goal, so its
+    last record counts the nodes up to the goal's parent and the children
+    up to the goal, which is not keyed.  ``nodes_expanded`` is the sum of
+    the ``frontier`` counts and ``distinct_keys`` one more than the sum of
+    the ``new`` counts."""
 
     nodes_expanded: int = 0
     distinct_keys: int = 0
@@ -245,8 +254,8 @@ def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
       is the goal (every other relator one letter, and the cyclic core of
       this one a single letter) is it yielded, once, with the first
       conjugator.  A one-letter core is its own conjugate by that letter,
-      so the child is built as the cyclic core.  The search keys it like
-      any other child, and finds its parent's key;
+      so the child is built as the cyclic core, and the search stops at
+      it;
     - r_i * t is the same word for equal conjugates t = c * r_j * c^-1, so
       each distinct t is kept with its first conjugator.  The set of them
       for a relator is built once per search and generator count, in the
@@ -295,7 +304,7 @@ def _expand(rels, cfg: SearchConfig, base_gens: int, conjugate_sets: dict):
         found = conjugate_sets.get(key)
         if found is None:
             if len(conjugate_sets) >= kernel.MEMO_WORDS // len(conjugators):
-                conjugate_sets.clear()
+                kernel.make_room(conjugate_sets, n, rels)
             found = conjugate_sets[key] = _conjugates(s, conjugators)
         conjugates.append(found)
     for i in range(n):
@@ -341,7 +350,10 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
     written only along the returned trace.  The status (trivialized /
     exhausted / budget), the stats and the trace are deterministic for a
     fixed config and do not depend on ``cfg.workers``; a trace is validated
-    by replay before it is reported.
+    by replay before it is reported.  The search returns at its goal, the
+    first trivial child in enumeration order, before it keys that child or
+    expands the rest of its level; every key on the goal's path was added
+    at an earlier level, which was expanded in full.
 
     Known defect: ``exhausted`` does not yet certify the searched bounds.
     The dedup key quotients cyclic rotation, but a node's successors depend
@@ -363,7 +375,8 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
     rels = encode_presentation(p)
     base_gens = len(rels)
     # per generator count, each relator's rotation column and conjugate
-    # set, built once per search (each memo bounded by kernel.MEMO_WORDS)
+    # set, built once per search (each memo bounded by kernel.MEMO_WORDS,
+    # and never below one node's worth)
     columns: dict = {}
     conjugate_sets: dict = {}
     root_key = kernel.search_key(rels, base_gens, columns)
@@ -382,20 +395,25 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
         cut_short = take < len(frontier)
         if not take:
             break
-        stats.nodes_expanded += take
 
         next_frontier = []
         children = 0
-        for node_key, nrels in frontier[:take]:
+        for expanded, (node_key, nrels) in enumerate(frontier[:take], 1):
             for move, crels in _expand(nrels, cfg, base_gens, conjugate_sets):
                 children += 1
-                if goal is None and kernel.is_trivial_encoded(crels, len(crels)):
+                # the first trivial child in enumeration order is the goal;
+                # every key on its path was added at an earlier level
+                if kernel.is_trivial_encoded(crels, len(crels)):
                     goal = (node_key, move)
+                    break
                 key = kernel.search_key(crels, len(crels), columns)
                 if key not in parents:
                     parents[key] = (node_key, move)
                     next_frontier.append((key, crels))
-        stats.levels.append({"frontier": take, "children": children,
+            if goal is not None:
+                break
+        stats.nodes_expanded += expanded
+        stats.levels.append({"frontier": expanded, "children": children,
                              "new": len(next_frontier)})
         if goal is not None or cut_short:
             break

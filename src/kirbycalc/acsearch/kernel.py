@@ -16,8 +16,10 @@ node under relabeling k.  A key reads its columns from a memo, a dict keyed
 by generator count and relator (stabilizing keeps the relators but changes
 the relabelings): ``search_key`` takes the search's memo, so each column is
 built once per search, and ``canonical_key`` keeps one for the call.  The
-memo is cleared whole once it would hold more than ``MEMO_WORDS`` least
-rotations; the search's conjugate memo shares that bound.
+memo is cleared once it would hold more than ``MEMO_WORDS`` least
+rotations, but keeps the columns of the node being keyed, so it never holds
+less than one node's worth (``make_room``); the search's conjugate memo
+shares that bound and that rule.
 
 Precondition: relators are ``bytes`` whose letters are below 2 * n_gens,
 and n_gens <= 127, so 0xFF is never a letter.  ``core.encode_presentation``
@@ -135,21 +137,34 @@ def _tables(n_gens):
             else _relabel_tables(n_gens))
 
 
-# Each memo of a search is cleared whole once it would hold more words than
-# this: the column memo least rotations (n_gens! per column, so its size
-# does not grow with the generator count), ``core._expand``'s conjugate memo
-# conjugated words (at most one per conjugator in a set).
+# Each memo of a search is cleared by ``make_room`` once it would hold more
+# words than this: the column memo least rotations (n_gens! per column, so
+# its size does not grow with the generator count), ``core._expand``'s
+# conjugate memo conjugated words (at most one per conjugator in a set).
 MEMO_WORDS = 8192
 
 
-def _column(relator, n_gens, columns):
-    """The relator's column, from the memo ``columns`` (keyed by generator
-    count and relator) or built and stored there."""
+def make_room(memo, n_gens, relators):
+    """Clear a memo that has reached its bound, but never below one node's
+    worth: a memo of fewer entries than the node ``relators`` is left as it
+    is, and the node's own entries, keyed (n_gens, relator), are kept, so no
+    value of the node being worked on is built twice."""
+    if len(memo) >= len(relators):
+        kept = {key: memo[key] for key in ((n_gens, r) for r in relators)
+                if key in memo}
+        memo.clear()
+        memo.update(kept)
+
+
+def _column(relator, n_gens, columns, relators):
+    """The column of one of a node's ``relators``, from the memo
+    ``columns`` (keyed by generator count and relator) or built and stored
+    there."""
     key = (n_gens, relator)
     column = columns.get(key)
     if column is None:
         if len(columns) >= MEMO_WORDS // factorial(n_gens):
-            columns.clear()
+            make_room(columns, n_gens, relators)
         core = cyclic_core(relator)
         column = columns[key] = tuple([least_rotation(core.translate(relabel))
                                        for relabel in _tables(n_gens)])
@@ -170,7 +185,8 @@ def search_key(relators, n_gens, columns):
     columns come from the memo ``columns``; row k across them is the node
     under relabeling k."""
     get = columns.get
-    cols = [get((n_gens, r)) or _column(r, n_gens, columns) for r in relators]
+    cols = [get((n_gens, r)) or _column(r, n_gens, columns, relators)
+            for r in relators]
     return _least_key(zip(*cols), n_gens)
 
 
@@ -178,7 +194,7 @@ def canonical_key(relators, n_gens):
     """Stable byte key: equal exactly up to relator order, relator
     inversion, cyclic rotation, and generator relabeling."""
     columns = {}
-    cols = [_column(r, n_gens, columns) for r in relators]
+    cols = [_column(r, n_gens, columns, relators) for r in relators]
     return _least_key(
         ([min(r, least_rotation(invert_word(r))) for r in row]
          for row in zip(*cols)), n_gens)

@@ -14,7 +14,10 @@ package's letter coding, word coercion and result type).  The successor
 generator the search used before it pruned children that cannot add a node
 is kept as ``ref_expand``; it reduces its products and conjugates by plain
 free reduction, ``ref_reduce_word``, and its own cyclic core, and takes
-nothing from the search kernel.
+nothing from the search kernel.  ``ref_search`` is a breadth-first search
+over its pruned children, keyed by ``ref_search_key``, that finishes every
+level it starts, so the search's stop at its goal is checked against a
+search that does not stop early.
 """
 
 from fractions import Fraction as F
@@ -499,6 +502,84 @@ def ref_expand(rels, cfg, base_gens):
         yield {"move": "destabilize", "i": i}, None, tuple(
             bytes(a - 2 if a >> 1 > sym else a for a in r)
             for k, r in enumerate(rels) if k != i)
+
+
+def _ref_is_trivial(rels):
+    """True when the relators of a balanced node are, up to order and
+    inversion, exactly its generators, each once."""
+    return (all(len(r) == 1 for r in rels)
+            and {r[0] >> 1 for r in rels} == set(range(len(rels))))
+
+
+def ref_pruned_expand(rels, cfg, base_gens):
+    """``ref_expand``'s successors as (move, child, kept) triples.  ``kept``
+    is False for the children the search does not build, which cannot
+    change it: a conjugate child that is not the goal or repeats an earlier
+    child (a conjugation rotates the cyclic core, which the key quotients),
+    and a product that repeats an earlier one with the same i and j."""
+    seen, products = set(), set()
+    for move, _, child in ref_expand(rels, cfg, base_gens):
+        if move["move"] == "conjugate":
+            kept = child not in seen and _ref_is_trivial(child)
+        elif move["move"] == "multiply":
+            product = (move["i"], move["j"], child)
+            kept = product not in products
+            products.add(product)
+        else:
+            kept = True
+        seen.add(child)
+        yield move, child, kept
+
+
+def ref_search(rels, cfg):
+    """Breadth-first search from the encoded node ``rels`` over the kept
+    children of ``ref_pruned_expand``, deduplicated by ``ref_search_key``.
+    Every level it starts, it expands in full (up to the node budget) and
+    keys in full, trivial children included; the goal is the first trivial
+    child of the first level that has one.  The status rules are the
+    search's: a level cut short by the budget, or not started for want of
+    it, gives budget, and the depth bound or an empty frontier gives
+    exhausted.  Returns (status, moves, nodes_expanded, distinct_keys,
+    max_frontier), where ``moves`` are the encoded move records from
+    ``rels`` to the goal, or None."""
+    base_gens = len(rels)
+    if _ref_is_trivial(rels):
+        return "trivialized", [], 0, 1, 1
+    root = ref_search_key(rels, base_gens)
+    parents = {root: (None, None)}
+    frontier = [(root, rels)]
+    expanded, max_frontier, cut_short = 0, 1, False
+    for _ in range(cfg.max_depth):
+        take = min(len(frontier), cfg.node_budget - expanded)
+        cut_short = take < len(frontier)
+        if not take:
+            break
+        expanded += take
+        goal, level = None, []
+        for key, node in frontier[:take]:
+            for move, child, kept in ref_pruned_expand(node, cfg, base_gens):
+                if not kept:
+                    continue
+                if goal is None and _ref_is_trivial(child):
+                    goal = (key, move)
+                child_key = ref_search_key(child, len(child))
+                if child_key not in parents:
+                    parents[child_key] = (key, move)
+                    level.append((child_key, child))
+        max_frontier = max(max_frontier, len(level))
+        if goal is not None:
+            key, move = goal
+            moves = []
+            while move is not None:
+                moves.append(move)
+                key, move = parents[key]
+            return ("trivialized", moves[::-1], expanded, len(parents),
+                    max_frontier)
+        if cut_short:
+            break
+        frontier = level
+    return ("budget" if cut_short else "exhausted", None, expanded,
+            len(parents), max_frontier)
 
 
 # ---------------------------------------------------------------------------

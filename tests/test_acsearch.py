@@ -19,7 +19,8 @@ from kirbycalc.words import decode_word
 
 from oracles import (brute_force_trivializable, ref_canonical_key,
                      ref_conjugate, ref_conjugators, ref_expand,
-                     ref_reduce_word, ref_search_key)
+                     ref_pruned_expand, ref_reduce_word, ref_search,
+                     ref_search_key)
 
 B = BalancedPresentation
 
@@ -401,33 +402,21 @@ class TestChildKeys:
 
 
 def _pruned_reference(rels, cfg, base_gens):
-    """ref_expand's children less the ones _expand does not build: conjugate
-    children that are not the goal or repeat an earlier child, and multiply
-    children that repeat an earlier one with the same i and j.  Each child
-    left out is checked to be one that cannot change the search: it repeats
-    an earlier child, or it is not the goal and has its parent's key.
-    ``ref_expand`` yields (move, slot, child) triples; the children kept are
-    projected to the (move, child) pairs that _expand yields."""
+    """The (move, child) pairs that ref_pruned_expand keeps: ref_expand's
+    children less the ones _expand does not build.  Each child left out is
+    checked to be one that cannot change the search: it repeats an earlier
+    child, or it is not the goal and has its parent's key."""
     columns = {}
     parent_key = kernel.search_key(rels, len(rels), columns)
-    seen, products, kept = set(), set(), []
-    for move, _, child in ref_expand(rels, cfg, base_gens):
-        trivial = kernel.is_trivial_encoded(child, len(child))
-        if move["move"] == "conjugate":
-            drop = child in seen or not trivial
-        elif move["move"] == "multiply":
-            product = (move["i"], move["j"], child)
-            drop = product in products
-            products.add(product)
+    seen, kept = set(), []
+    for move, child, keep in ref_pruned_expand(rels, cfg, base_gens):
+        if keep:
+            kept.append((move, child))
         else:
-            drop = False
-        if drop:
             assert child in seen or (
-                not trivial
+                not kernel.is_trivial_encoded(child, len(child))
                 and kernel.search_key(child, len(child), columns)
                 == parent_key)
-        else:
-            kept.append((move, child))
         seen.add(child)
     return kept
 
@@ -581,8 +570,10 @@ class TestPinnedSearch:
     last allowed level uses up exactly, (4, 30) and (1, 1), leaves nothing
     unsearched, so they read exhausted, no longer budget.  max_frontier
     was corrected too: it counts the last level's new keys also when the
-    goal or the budget ends the search, so (4, 29) reads 26, not 16, and
-    the AK(1) trace 208, not 159."""
+    goal or the budget ends the search, so (4, 29) reads 26, not 16.  A
+    search now stops at its goal, before it keys the goal child or expands
+    the rest of that level, so the AK(1) trace's counts read
+    (223, 387, 159), not (362, 570, 208); its trace is unchanged."""
 
     REPRO = B(("x", "y"), ("x y", "x y y y x"))
     BUDGET_EDGES = [
@@ -658,7 +649,7 @@ class TestPinnedSearch:
             node_budget=30_000))
         assert out.status == "trivialized"
         assert (out.stats.nodes_expanded, out.stats.distinct_keys,
-                out.stats.max_frontier) == (362, 570, 208)
+                out.stats.max_frontier) == (223, 387, 159)
         assert out.trace == [
             {"move": "invert", "i": 0},
             {"move": "multiply", "i": 0, "j": 1, "conj": "Y"},
@@ -702,6 +693,26 @@ def clamp_inputs(draw):
         conjugator_depth=cap + draw(st.integers(-1, 2)), node_budget=60)
 
 
+@st.composite
+def search_inputs(draw):
+    """A 2-generator presentation within a cap of 0-7 on its total length,
+    and a search of depth 1-4, conjugator depth 0-2, node budget 1-40 and
+    0 or 1 stabilizations."""
+    cap = draw(st.integers(min_value=0, max_value=7))
+    rels = []
+    for _ in range(2):
+        word = draw(st.lists(st.integers(min_value=0, max_value=3),
+                             max_size=cap - sum(map(len, rels))))
+        rels.append(ref_reduce_word(bytes(word)))
+    p = B(("x", "y"), tuple(decode_word(r, ("x", "y")).to_text()
+                            for r in rels))
+    return p, SearchConfig(
+        max_total_length=cap, max_depth=draw(st.integers(1, 4)),
+        conjugator_depth=draw(st.integers(0, 2)),
+        node_budget=draw(st.integers(1, 40)),
+        stabilizations=draw(st.integers(0, 1)))
+
+
 class TestConjugatorDepthCap:
     """A conjugator longer than the cap less two adds no kept product, so
     the search takes its conjugators to depth
@@ -731,6 +742,88 @@ class TestConjugatorDepthCap:
             out = search(repro, SearchConfig(9, 2, 12))
         assert set(depths) == {7}
         assert out == search(repro, SearchConfig(9, 2, 9))
+
+
+def _small_inputs():
+    """Every pair of freely reduced words in x and y (codes 0-3) of total
+    length at most 5, encoded: 3,241 nodes."""
+    words = [bytes(w) for length in range(6)
+             for w in itertools.product(range(4), repeat=length)
+             if ref_reduce_word(bytes(w)) == bytes(w)]
+    return [(a, b) for a in words for b in words if len(a) + len(b) <= 5]
+
+
+class TestGoalExit:
+    """The search returns at its first trivial child; ref_search finishes
+    every level it starts.  Both give the same status and trace, and the
+    search's counts are no larger, equal where no goal is found."""
+
+    @pytest.mark.parametrize("cfg, statuses", [
+        (SearchConfig(max_total_length=5, max_depth=3),
+         {"trivialized", "exhausted"}),
+        (SearchConfig(max_total_length=5, max_depth=3, conjugator_depth=2,
+                      node_budget=6, stabilizations=1),
+         {"trivialized", "exhausted", "budget"}),
+    ])
+    def test_matches_reference_search(self, cfg, statuses):
+        seen = set()
+        for rels in _small_inputs():
+            p = B(("x", "y"), tuple(decode_word(r, ("x", "y")).to_text()
+                                    for r in rels))
+            out = search(p, cfg)
+            status, moves, *counts = ref_search(rels, cfg)
+            seen.add(status)
+            assert out.status == status, rels
+            assert out.trace == (None if moves is None
+                                 else _name_moves(p, moves)[0]), rels
+            found = [out.stats.nodes_expanded, out.stats.distinct_keys,
+                     out.stats.max_frontier]
+            if status == "trivialized":
+                assert all(a <= b for a, b in zip(found, counts)), rels
+            else:
+                assert found == counts, rels
+        assert seen == statuses
+
+    @given(search_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_level_records_add_up(self, case):
+        p, cfg = case
+        stats = search(p, cfg).stats
+        frontiers = [level["frontier"] for level in stats.levels]
+        news = [level["new"] for level in stats.levels]
+        assert stats.nodes_expanded == sum(frontiers)
+        assert stats.distinct_keys == 1 + sum(news)
+        assert stats.max_frontier == max([1, *news])
+        assert len(stats.levels) <= cfg.max_depth
+        assert all(level["children"] >= level["new"]
+                   for level in stats.levels)
+
+
+class TestMemoFloor:
+    """However small ``kernel.MEMO_WORDS``, each memo keeps one node's
+    worth: a node finds again every entry it stored, and the next node
+    keeps the entry of the relator it shares with it."""
+
+    A = (bytes((0, 2)), bytes((0, 2, 2, 2, 0)))     # x y, x y y y x
+    B = (bytes((0, 3)), A[1])                       # x Y, x y y y x
+
+    @pytest.mark.parametrize("fill", [
+        lambda node, memo: list(_expand(node, SearchConfig(12, 1, 2), 2,
+                                        memo)),
+        lambda node, memo: kernel.search_key(node, 2, memo),
+    ], ids=["conjugate_sets", "columns"])
+    def test_one_node_worth(self, fill, monkeypatch):
+        monkeypatch.setattr(kernel, "MEMO_WORDS", 1)
+        memo = {}
+        fill(self.A, memo)
+        entries = dict(memo)
+        fill(self.A, memo)
+        assert memo == entries
+        assert all(memo[key] is value for key, value in entries.items())
+        fill(self.B, memo)
+        shared = (2, self.A[1])
+        assert set(memo) == {(2, self.B[0]), shared}
+        assert memo[shared] is entries[shared]
 
 
 class TestReplay:
