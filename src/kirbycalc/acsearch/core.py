@@ -431,11 +431,11 @@ def search(p: BalancedPresentation, cfg: SearchConfig) -> SearchOutcome:
                 break
             moves.append(move)
             node_key = parent_key
-        # the input passed its checks at entry, so a move that does not
-        # apply here is a fault of the search, not of its input
+        # the input passed its checks at entry, so any failure to replay
+        # the search's own moves is a fault of the search, not of its input
         try:
             trace, final = _name_moves(p, reversed(moves))
-        except (ValueError, KeyError, TypeError) as exc:
+        except Exception as exc:
             raise AssertionError(f"search produced a move that does not "
                                  f"apply: {exc}") from exc
         if not is_trivial_form(final):

@@ -20,14 +20,14 @@ from typing import Optional
 
 from .presentations import Presentation
 from .records import check_int
-from .words import Word, encode_word, letter_codes
+from .words import Immutable, Word, encode_word, letter_codes
 
 
 class MatrixError(ValueError):
     pass
 
 
-class IntegerMatrix:
+class IntegerMatrix(Immutable):
     """Immutable rectangular matrix of Python ints."""
 
     __slots__ = ("entries", "rows", "cols")
@@ -50,9 +50,6 @@ class IntegerMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegerMatrix is immutable")
 
     def __getitem__(self, key):
         i, j = key
@@ -282,7 +279,6 @@ class CosetTable:
     """
 
     status: str
-    generators: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
     order: Optional[int]
     live: int
@@ -496,7 +492,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     counts = dict(subgroup=subgroup, coincidences=coincidences,
                   peak_live=max(peak_live, live))
     if exhausted:
-        return CosetTable("budget", gens, (), None, live, defined, **counts)
+        return CosetTable("budget", (), None, live, defined, **counts)
 
     renumber = {c: k for k, c in enumerate(live_ids)}
     try:
@@ -509,7 +505,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
         ) from None
     # over a trivial subgroup the index is the group order
     order = None if subgroup_scans else live
-    return CosetTable("closed", gens, compact, order, live, defined, **counts)
+    return CosetTable("closed", compact, order, live, defined, **counts)
 
 
 def verify_coset_table(result: CosetTable, p: Presentation) -> bool:

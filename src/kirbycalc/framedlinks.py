@@ -14,6 +14,7 @@ from typing import Iterable, Optional
 
 from . import records
 from .certify import AbelianGroup, IntegerMatrix, MatrixError, h1_from_matrix
+from .words import Immutable
 
 PLAIN = "plain"
 DOTTED = "dotted"
@@ -69,7 +70,7 @@ def _check_sign(sign) -> None:
         raise IllegalMove("sign must be +1 or -1")
 
 
-class FramedLinkModel:
+class FramedLinkModel(Immutable):
     """Components plus a symmetric linking matrix; immutable."""
 
     __slots__ = ("components", "linking")
@@ -97,9 +98,6 @@ class FramedLinkModel:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "linking", matrix)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FramedLinkModel is immutable")
-
     def __len__(self):
         return len(self.components)
 
@@ -119,9 +117,6 @@ class FramedLinkModel:
         if c.kind != PLAIN:
             raise ModelError(f"component {i} is dotted and has no framing")
         return self.linking[i][i]
-
-    def has_dotted(self) -> bool:
-        return any(c.kind == DOTTED for c in self.components)
 
     def _check(self, *indices: int) -> None:
         for i in indices:
@@ -260,7 +255,7 @@ class FramedLinkModel:
     # -- surgery invariants ---------------------------------------------------
 
     def _surgery_matrix(self, what: str) -> IntegerMatrix:
-        if self.has_dotted():
+        if any(c.kind == DOTTED for c in self.components):
             raise ModelError(
                 f"{what} applies to surgery links only; this model has dotted "
                 "circles (1-handles)")

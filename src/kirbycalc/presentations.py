@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .records import check_index, check_int, json_list, json_object
-from .words import (IDENTITY, Word, check_symbols, cyclic_reduce,
+from .words import (IDENTITY, Immutable, Word, check_symbols, cyclic_reduce,
                     is_generator_name)
 
 
@@ -40,7 +40,7 @@ def _as_word(value) -> Word:
     return Word(letters)
 
 
-class Presentation:
+class Presentation(Immutable):
     """Generators plus relator words, not necessarily balanced."""
 
     __slots__ = ("generators", "relators")
@@ -58,9 +58,6 @@ class Presentation:
         check_symbols(rels, gens)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def replace(self, generators=None, relators=None):
         return type(self)(self.generators if generators is None else generators,

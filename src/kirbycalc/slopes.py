@@ -41,9 +41,10 @@ def _check_terms(p, q) -> None:
         raise SlopeError(f"{p!r}/{q!r}: p and q must be integers")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Slope:
-    """Reduced rational p/q with q >= 0; 1/0 is the slope at infinity."""
+    """Reduced rational p/q with q >= 0; 1/0 is the slope at infinity.
+    Slopes have no ordering: sort finite ones by ``value()``."""
 
     p: int
     q: int
@@ -61,14 +62,12 @@ class Slope:
 
     @classmethod
     def make(cls, p: int, q: int) -> "Slope":
+        """p/q in lowest terms, signed so that q >= 0 and 1/0 is the
+        infinite slope; the constructor refuses 0/0."""
         _check_terms(p, q)
-        if q == 0 and p == 0:
-            raise SlopeError("0/0 is not a slope")
-        if q < 0:
-            p, q = -p, -q
-        if q == 0:
-            return cls(1, 0)
-        g = gcd(abs(p), q)
+        g = gcd(p, q) or 1
+        if q < 0 or (q == 0 and p < 0):
+            g = -g
         return cls(p // g, q // g)
 
     @classmethod

@@ -16,7 +16,7 @@ from .certify import AbelianGroup, IntegerMatrix, abelianization
 from .presentations import Presentation
 from .records import (check_framing, check_index, json_field, json_list,
                       json_object)
-from .words import Word
+from .words import Immutable, Word
 
 
 class PDCodeError(ValueError):
@@ -29,8 +29,8 @@ class Crossing:
     sign: int
 
     def __post_init__(self):
-        if len(self.arcs) != 4:
-            raise PDCodeError(f"crossing needs 4 edge labels, got {self.arcs}")
+        if len(self.arcs) != 4 or any(type(e) is not int for e in self.arcs):
+            raise PDCodeError(f"crossing needs 4 integer edge labels, got {self.arcs}")
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise PDCodeError(f"crossing sign must be +1 or -1, got {self.sign}")
 
@@ -51,7 +51,7 @@ class Crossing:
         return self.arcs[3] if self.sign > 0 else self.arcs[1]
 
 
-class PDCode:
+class PDCode(Immutable):
     """Crossing list plus the partition of edges into component cycles."""
 
     __slots__ = ("crossings", "components")
@@ -64,12 +64,12 @@ class PDCode:
         object.__setattr__(self, "crossings", xs)
         object.__setattr__(self, "components", comps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PDCode is immutable")
-
     @staticmethod
     def _validate(xs, comps):
         declared = [e for comp in comps for e in comp]
+        # bools and floats hash like ints, so the checks below would pass them
+        if any(type(e) is not int for e in declared):
+            raise PDCodeError(f"edge labels must be integers, got {declared}")
         if len(set(declared)) != len(declared):
             raise PDCodeError("an edge label appears in two components")
         declared_set = set(declared)
@@ -200,9 +200,6 @@ class PDCode:
             if not isinstance(comp, list):
                 raise PDCodeError(
                     f"a component is a list of edge labels, got {type(comp).__name__}")
-        for labels in [arcs for arcs, _ in xs] + comps:
-            if any(type(e) is not int for e in labels):
-                raise PDCodeError(f"edge labels must be integers, got {labels}")
         return cls(xs, comps)
 
 

@@ -13,7 +13,7 @@ Letter = Tuple[str, int]
 
 
 class WordSyntaxError(ValueError):
-    """Malformed word text."""
+    """Malformed word text, or a letter whose sign is not +1 or -1."""
 
 
 class UnknownGeneratorError(ValueError):
@@ -43,7 +43,20 @@ def is_generator_name(name) -> bool:
             and name[0].isalpha() and name[0].islower())
 
 
-class Word:
+class Immutable:
+    """Base of the value types: ``__init__`` fills the subclass's
+    ``__slots__`` with ``object.__setattr__``; nothing may set or delete
+    them later."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Word(Immutable):
     """An immutable, freely reduced word.
 
     >>> Word.from_text("x y Y x")
@@ -54,9 +67,6 @@ class Word:
 
     def __init__(self, letters: Iterable[Letter] = ()):
         object.__setattr__(self, "letters", free_reduce(letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     @classmethod
     def from_text(cls, text: str) -> "Word":
@@ -123,13 +133,17 @@ IDENTITY = Word()
 
 
 def check_symbols(words: Iterable[Word], generators) -> None:
-    """Reject the first symbol, in letter order, that is not one of
-    ``generators``, so the error names the same symbol on every run."""
+    """Reject the first letter, in letter order, whose symbol is not one of
+    ``generators`` or whose sign is not the int +1 or -1, so the error names
+    the same letter on every run."""
     allowed = set(generators)
     for word in words:
-        for sym, _ in word.letters:
+        for sym, sign in word.letters:
             if sym not in allowed:
                 raise UnknownGeneratorError(sym)
+            if type(sign) is not int or sign not in (1, -1):
+                raise WordSyntaxError(f"bad letter {(sym, sign)!r}: "
+                                      "a sign is the integer +1 or -1")
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:

@@ -834,7 +834,7 @@ def ref_todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     counts = dict(subgroup=subgroup, coincidences=coincidences,
                   peak_live=peak_live)
     if exhausted:
-        return CosetTable("budget", gens, (), None, len(live_ids), defined,
+        return CosetTable("budget", (), None, len(live_ids), defined,
                           **counts)
 
     renumber = {c: k for k, c in enumerate(live_ids)}
@@ -843,4 +843,4 @@ def ref_todd_coxeter(p: Presentation, max_cosets: int = 100_000,
         for c in live_ids)
     live = len(live_ids)
     order = None if subgroup_paths else live
-    return CosetTable("closed", gens, compact, order, live, defined, **counts)
+    return CosetTable("closed", compact, order, live, defined, **counts)

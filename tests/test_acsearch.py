@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from dataclasses import fields
 from unittest import mock
 
@@ -13,8 +14,8 @@ from kirbycalc.acsearch import core, kernel
 from kirbycalc.acsearch.core import (_conjugates, _expand, _name_moves,
                                      encode_presentation)
 from kirbycalc.pipeline import run_pipeline
-from kirbycalc.presentations import (BalancedPresentation, ak_presentation,
-                                     stabilize)
+from kirbycalc.presentations import (BalancedPresentation, Presentation,
+                                     ak_presentation, stabilize)
 from kirbycalc.words import decode_word
 
 from oracles import (brute_force_trivializable, ref_canonical_key,
@@ -493,6 +494,16 @@ class TestSearch:
     def test_bounds_rejection(self):
         p = ak_presentation(0, "y x")
         with pytest.raises(BoundsError):
+            search(p, SearchConfig(max_total_length=3, max_depth=2))
+
+    @pytest.mark.parametrize("p, message", [
+        (Presentation(("x", "y"), ("x y",)),
+         "search requires a balanced presentation"),
+        (Presentation(("x", "y"), ("x y", "y")),
+         "search requires a balanced presentation"),
+    ], ids=["unbalanced", "balanced-but-not-the-type"])
+    def test_refusals_name_the_rule(self, p, message):
+        with pytest.raises(BoundsError, match=f"^{re.escape(message)}$"):
             search(p, SearchConfig(max_total_length=3, max_depth=2))
 
     def test_budget_status(self):

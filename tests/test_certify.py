@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -528,6 +529,27 @@ class TestIntegerMatrix:
         with pytest.raises(MatrixError,
                            match="^a matrix is a list of rows of integers$"):
             IntegerMatrix(entries)
+
+
+@pytest.mark.parametrize("compute, expected", [
+    (lambda: IntegerMatrix([[0, 1], [0, 2]]).det(), 0),
+    (lambda: IntegerMatrix([[2, 1, 0], [4, 2, 0], [1, 1, 1]]).det(), 0),
+    (lambda: str(abelianization(Presentation(("x",), ()))), "Z"),
+    (lambda: str(abelianization(Presentation(("x", "y", "z"), ("x x",)))),
+     "Z^2 + Z/2"),
+    (lambda: str(AbelianGroup(0)), "trivial"),
+    (lambda: IntegerMatrix([[1, 2]]).det(),
+     MatrixError("determinant of a non-square matrix")),
+    (lambda: IntegerMatrix([[1, 2]]) * IntegerMatrix([[1, 2]]),
+     MatrixError("shape mismatch 1x2 * 1x2")),
+], ids=["det-zero-column", "det-dependent-rows", "Z", "Z^k", "trivial",
+        "det-non-square", "product-shape"])
+def test_matrix_and_group_edge_cases(compute, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            compute()
+    else:
+        assert compute() == expected
 
 
 class TestAbelianization:

@@ -260,6 +260,19 @@ class TestAcSearch:
         assert err.startswith("internal invariant violation:")
         assert "Traceback" not in err
 
+        # a conjugator letter past the generators fails while its move is
+        # named, and a move that applies may not reach a trivial form
+        for move in ({"move": "multiply", "i": 0, "j": 1, "conj": b"\x09"},
+                     {"move": "invert", "i": 0}):
+            def other_expand(*args, move=move):
+                yield move, (b"\x00", b"\x02")
+
+            monkeypatch.setattr(core, "_expand", other_expand)
+            code, out, err = run(capsys, "ac-search", path)
+            assert code == 2 and out == ""
+            assert err.startswith("internal invariant violation:")
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("data", [
         {"generators": ["x", "y"], "relators": [5, "y"]},
         {"generators": ["x", ""], "relators": ["x", "x"]},
@@ -420,6 +433,22 @@ class TestWirtinger:
         code, _, err = run(capsys, "wirtinger", pd)
         assert code == 1 and err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("label, message", [
+        ("1", "crossing needs 4 integer edge labels, got ('1', 4, 2, 3)"),
+        (1.0, "crossing needs 4 integer edge labels, got (1.0, 4, 2, 3)"),
+        (True, "crossing needs 4 integer edge labels, got (True, 4, 2, 3)"),
+    ], ids=["str", "float", "bool"])
+    def test_edge_labels_must_be_integers(self, capsys, tmp_path, label,
+                                          message):
+        # edge 1 of the Hopf link relabelled everywhere: a consistent code
+        # whose labels JSON would not read back as written
+        data = hopf_link_pd().to_json()
+        for labels in [x["arcs"] for x in data["crossings"]] + data["components"]:
+            labels[:] = [label if e == 1 else e for e in labels]
+        code, out, err = run(capsys, "wirtinger", write(tmp_path, "pd.json", data))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_framings_count_must_match_components(self, capsys, tmp_path):
         pd = write(tmp_path, "unknot.json", {"crossings": [],

@@ -1,11 +1,14 @@
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kirbycalc.certify import AbelianGroup
-from kirbycalc.framedlinks import (DOTTED, PLAIN, Component, FramedLinkModel,
-                                   IllegalMove, ModelError, apply_script,
+from kirbycalc.framedlinks import (DOTTED, DOTTED_SLIDE_RULE, MOVES, PLAIN,
+                                   Component, FramedLinkModel, IllegalMove,
+                                   ModelError, apply_move, apply_script,
                                    hopf_link_model, zero_model)
 
 
@@ -162,6 +165,80 @@ class TestHopfPairs:
         with pytest.raises(IllegalMove) as err:
             m.remove_hopf_pair(0, 1)
         assert "links component" in str(err.value)
+
+
+def pair_and(*rest):
+    """A canceling Hopf pair (dotted 0, 2-handle 1), then plain unknots
+    with the given framings, linked as ``rest`` says: ``rest`` is a list
+    of (framing, link with 0, link with 1)."""
+    comps = [Component(DOTTED), Component(PLAIN, 0, True)]
+    n = 2 + len(rest)
+    m = [[0] * n for _ in range(n)]
+    m[0][1] = m[1][0] = 1
+    for k, (framing, to_dotted, to_handle) in enumerate(rest, 2):
+        comps.append(Component(PLAIN, framing, True))
+        m[k][k] = framing
+        m[k][0] = m[0][k] = to_dotted
+        m[k][1] = m[1][k] = to_handle
+    return FramedLinkModel(comps, m)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Component("solid", 0), ModelError,
+     "component kind must be plain or dotted, got 'solid'"),
+    (lambda: Component(PLAIN), ModelError, "plain components need a framing"),
+    (lambda: FramedLinkModel([Component(PLAIN, 0)], [[0, 0], [0, 0]]),
+     ModelError, "linking matrix must be 1x1"),
+    (lambda: pair_and().framing(0), ModelError,
+     "component 0 is dotted and has no framing"),
+    (lambda: pair_and().slide_over_dotted(0, 0, 1), IllegalMove,
+     f"component 0 must be plain: {DOTTED_SLIDE_RULE}"),
+    (lambda: pair_and((0, 0, 0)).slide_over_dotted(1, 2, 1), IllegalMove,
+     "component 2 is not dotted"),
+    (lambda: pair_and().blow_down(0), IllegalMove,
+     "component 0 is dotted and cannot be blown down"),
+    (lambda: pair_and((1, 1, 0)).blow_down(2), IllegalMove,
+     "component 2 links dotted circle 0; blowing down would twist a 1-handle"),
+    (lambda: pair_and().remove_hopf_pair(0, 0), IllegalMove,
+     "d and h must be distinct components"),
+    (lambda: pair_and().remove_hopf_pair(1, 0), IllegalMove,
+     "component 1 is not dotted"),
+    (lambda: pair_and().add_hopf_pair().remove_hopf_pair(0, 2), IllegalMove,
+     "component 2 is not a 2-handle"),
+    (lambda: FramedLinkModel([Component(DOTTED), Component(PLAIN, 0, True)],
+                             [[0, 2], [2, 0]]).remove_hopf_pair(0, 1),
+     IllegalMove, "link(d,h) = 2, a canceling pair needs +-1"),
+    (lambda: pair_and((0, 1, 0)).remove_hopf_pair(0, 1), IllegalMove,
+     "dotted circle 0 links component 2"),
+], ids=["kind", "plain-without-framing", "matrix-shape", "dotted-framing",
+        "dotted-slides-over-dotted", "slide-over-plain", "blow-down-dotted",
+        "blow-down-links-dotted", "pair-of-one", "pair-dotted-is-plain",
+        "pair-handle-is-dotted", "pair-links-twice", "pair-dotted-linked"])
+def test_refusals_name_the_rule(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
+move_records = st.builds(
+    lambda kind, u, v, sign: {"move": kind, "u": u, "v": v, "h": u, "d": v,
+                              "i": u, "sign": sign},
+    st.sampled_from(MOVES), st.integers(0, 5), st.integers(0, 5),
+    st.sampled_from((1, -1)))
+
+
+@given(st.sampled_from((zero_model(2), hopf_link_model((1, -2)), pair_and())),
+       st.lists(move_records, max_size=10))
+@settings(max_examples=200)
+def test_every_model_a_script_reaches_round_trips(start, script):
+    m = start
+    for move in script:
+        try:
+            m = apply_move(m, move)
+        except IllegalMove:
+            pass
+        data = json.loads(json.dumps(m.to_json()))
+        back = FramedLinkModel.from_json(data)
+        assert back == m and back.to_json() == data
 
 
 class TestSlideOverDotted:

@@ -1,7 +1,9 @@
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kirbycalc.certify import exponent_matrix, todd_coxeter
 from kirbycalc.presentations import (BalancedPresentation, MoveError,
@@ -9,7 +11,7 @@ from kirbycalc.presentations import (BalancedPresentation, MoveError,
                                      ac_conjugate, ac_invert, ac_multiply,
                                      ak_presentation, destabilize, stabilize,
                                      tietze_simplify)
-from kirbycalc.words import UnknownGeneratorError, Word
+from kirbycalc.words import UnknownGeneratorError, Word, WordSyntaxError
 
 
 def texts(p):
@@ -17,6 +19,36 @@ def texts(p):
 
 
 B = BalancedPresentation
+
+# the signs a caller might pass; only the ints 1 and -1 are letters
+SIGNS = (1, -1, 1, -1, 2, 0, -2, True, False, 1.0, -1.0)
+
+
+def is_letter_sign(sign):
+    return type(sign) is int and sign in (1, -1)
+
+
+@st.composite
+def presentation_inputs(draw):
+    """Generators, relators given as word text, letter lists or Word
+    instances, and whether every letter the constructor sees has a sign
+    of +1 or -1 (a Word has already cancelled its inverse pairs)."""
+    gens = draw(st.lists(st.sampled_from(("x", "y", "z2", "ab")),
+                         min_size=1, max_size=3, unique=True))
+    rels, valid = [], True
+    for _ in range(draw(st.integers(0, 3))):
+        letters = draw(st.lists(st.tuples(st.sampled_from(gens),
+                                          st.sampled_from(SIGNS)), max_size=6))
+        kind = draw(st.sampled_from(("text", "letters", "word")))
+        if kind == "text":
+            rels.append(" ".join(g if s > 0 else g[0].upper() + g[1:]
+                                 for g, s in letters))
+            continue
+        if kind == "word":
+            letters = Word(letters).letters
+        rels.append(letters if kind == "letters" else Word(letters))
+        valid = valid and all(is_letter_sign(s) for _, s in letters)
+    return gens, rels, valid
 
 
 class TestStructure:
@@ -89,6 +121,45 @@ class TestStructure:
         assert B.from_json(data) == p
         assert data == {"generators": ["x", "y"],
                         "relators": ["Y X Y x y x", "x x x Y Y"]}
+
+    @given(presentation_inputs())
+    @settings(max_examples=300)
+    def test_every_accepted_presentation_round_trips(self, case):
+        # the constructor refuses what JSON could not carry, so what it
+        # accepts reads back as the same group
+        gens, rels, valid = case
+        try:
+            p = Presentation(gens, rels)
+        except ValueError:
+            assert not valid
+            return
+        assert valid
+        data = json.loads(json.dumps(p.to_json()))
+        back = Presentation.from_json(data)
+        assert back == p and back.to_json() == data
+
+    def test_repr(self):
+        assert repr(Presentation(("x", "y"), ("x Y", ""))) == "<x,y | x Y, 1>"
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: Presentation(("x", "y", "x"), ()), PresentationError,
+         "duplicate generators in ('x', 'y', 'x')"),
+        (lambda: Presentation(("x",), (Word([("x", 2)]),)), WordSyntaxError,
+         "bad letter ('x', 2): a sign is the integer +1 or -1"),
+        (lambda: B(("x", "y"), ("x", Word([("y", True)]))), WordSyntaxError,
+         "bad letter ('y', True): a sign is the integer +1 or -1"),
+        (lambda: ak_presentation(1, Word([("x", 1.0)])), WordSyntaxError,
+         "bad letter ('x', 1.0): a sign is the integer +1 or -1"),
+        (lambda: ac_multiply(B(("x", "y"), ("x", "y")), 0, 1, Word([("x", 2)])),
+         WordSyntaxError, "bad letter ('x', 2): a sign is the integer +1 or -1"),
+        (lambda: todd_coxeter(Presentation(("x",), ("x x",)),
+                              subgroup=[Word([("x", 0)])]),
+         WordSyntaxError, "bad letter ('x', 0): a sign is the integer +1 or -1"),
+    ], ids=["duplicate-generators", "word-sign-2", "word-sign-bool",
+            "family-word-float", "multiply-conjugator", "subgroup-word"])
+    def test_refusals_name_the_rule(self, make, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
 
 
 class TestMoves:

@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -44,6 +45,21 @@ class TestSlopeType:
         assert Slope.make(2, 4) == Slope(1, 2)
         assert Slope.make(-3, 0) == Slope(1, 0)
         assert Slope.make(1, -2) == Slope(-1, 2)
+
+    @pytest.mark.parametrize("compute, message", [
+        (lambda: Slope.make(0, 0), "0/0 is not a slope"),
+        (lambda: Slope(1, 0).value(), "1/0 has no finite value"),
+    ], ids=["make-0/0", "infinite-value"])
+    def test_refusals_name_the_rule(self, compute, message):
+        with pytest.raises(SlopeError, match=f"^{re.escape(message)}$"):
+            compute()
+
+    def test_slopes_have_no_ordering(self):
+        # p/q pairs would order 1/2 before 1/3; sort by value() instead
+        with pytest.raises(TypeError):
+            Slope(1, 2) < Slope(1, 3)
+        assert sorted([Slope(1, 2), Slope(1, 3)], key=Slope.value) == [
+            Slope(1, 3), Slope(1, 2)]
 
     def test_from_text(self):
         assert Slope.from_text("1/0") == Slope(1, 0)

@@ -8,14 +8,26 @@ The benchmark's tracer wraps the package functions that
 ``perfbench/spans.py`` names; each name must resolve, or a traced run stops
 at ``Tracer.install``.  Its workloads and runner call the package as
 ``kc.<module>.<name>``; each of those must resolve too, or the benchmark
-fails where the tests passed."""
+fails where the tests passed.
+
+Every docstring example in the package runs, and every JSON example under
+the README's "File formats" reads through its reader and survives a JSON
+round trip."""
 
 import ast
+import doctest
 import importlib
+import json
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
+
+import kirbycalc
+from kirbycalc.framedlinks import FramedLinkModel
+from kirbycalc.presentations import Presentation
+from kirbycalc.wirtinger import PDCode
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -105,3 +117,49 @@ def test_benchmark_reads_package_names():
 def test_benchmark_package_names_resolve(module, name):
     owner = importlib.import_module(f"kirbycalc.{module}")
     assert hasattr(owner, name), f"kirbycalc.{module}.{name} is gone"
+
+
+MODULES = sorted(m.name for m in pkgutil.walk_packages(kirbycalc.__path__,
+                                                       "kirbycalc."))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_docstring_examples_pass(name):
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0
+
+
+def test_docstring_examples_are_found():
+    # the finder reaches the one example the package has today
+    finder = doctest.DocTestFinder()
+    words = importlib.import_module("kirbycalc.words")
+    assert any(t.examples for t in finder.find(words))
+
+
+def file_format_examples() -> list:
+    """The ```json blocks of the README's "File formats" section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("### File formats", 1)[1]
+    section = re.split(r"^#{1,3} ", section, flags=re.M)[0]
+    return [json.loads(block)
+            for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+
+
+# each file format's reader, known by the fields of its record
+READERS = {frozenset({"generators", "relators"}): Presentation,
+           frozenset({"components", "linking"}): FramedLinkModel,
+           frozenset({"crossings", "components"}): PDCode}
+EXAMPLES = file_format_examples()
+
+
+def test_every_file_format_has_an_example():
+    assert {frozenset(data) for data in EXAMPLES} == set(READERS)
+
+
+@pytest.mark.parametrize("data", EXAMPLES,
+                         ids=[READERS[frozenset(d)].__name__ for d in EXAMPLES])
+def test_file_format_example_round_trips(data):
+    reader = READERS[frozenset(data)]
+    value = reader.from_json(data)
+    again = json.loads(json.dumps(value.to_json()))
+    assert reader.from_json(again).to_json() == again == value.to_json()

@@ -3,16 +3,60 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kirbycalc.certify import (AbelianGroup, abelianization, h1_from_matrix,
                                todd_coxeter)
 from kirbycalc.presentations import Presentation, tietze_simplify
-from kirbycalc.wirtinger import (PDCode, PDCodeError, connected_sum,
+from kirbycalc.wirtinger import (Crossing, PDCode, PDCodeError, connected_sum,
                                  granny_knot_pd, hopf_link_pd, longitude_word,
                                  meridian_word, square_knot_pd,
                                  surgery_presentation, trefoil_pd, unknot_pd,
                                  wirtinger_presentation)
 from kirbycalc.words import Word
+
+
+def relabel(pd, mapping):
+    """The crossings and components of ``pd`` with each label mapped."""
+    return ([(tuple(mapping[e] for e in x.arcs), x.sign) for x in pd.crossings],
+            [[mapping[e] for e in comp] for comp in pd.components])
+
+
+@st.composite
+def pd_inputs(draw):
+    """A disjoint union of standard diagrams under a random labelling, as
+    constructor input; one label may be swapped everywhere for a string or
+    float of equal value, or for a bool.  Returns the crossings (as tuples
+    or Crossing instances), the components and whether a label was
+    swapped."""
+    pieces = draw(st.lists(st.sampled_from(
+        (unknot_pd(), hopf_link_pd(), trefoil_pd(), trefoil_pd().mirror(),
+         square_knot_pd(), granny_knot_pd())), min_size=1, max_size=3))
+    crossings, components = [], []
+    for piece in pieces:
+        shift = 1 + max((e for comp in components for e in comp), default=0)
+        xs, comps = relabel(piece, {e: e + shift for comp in piece.components
+                                    for e in comp})
+        crossings += xs
+        components += comps
+    labels = sorted(e for comp in components for e in comp)
+    # no fresh label is 0 or 1, so a bool stands for no other label
+    fresh = draw(st.lists(st.integers(2, 10**9) | st.integers(-10**9, -1),
+                          min_size=len(labels), max_size=len(labels),
+                          unique=True))
+    mapping = dict(zip(labels, fresh))
+    poison = draw(st.sampled_from((None, None, str, float, bool)))
+    if poison is not None:
+        target = draw(st.sampled_from(labels))
+        mapping[target] = (draw(st.booleans()) if poison is bool
+                           else poison(mapping[target]))
+    crossings, components = relabel(PDCode(crossings, components), mapping)
+    if draw(st.booleans()):
+        try:
+            crossings = [Crossing(arcs, sign) for arcs, sign in crossings]
+        except PDCodeError:
+            assert poison is not None
+    return crossings, components, poison is not None
 
 
 class TestPDValidation:
@@ -96,6 +140,51 @@ class TestPDValidation:
         back = PDCode.from_json(data)
         assert back.crossings == pd.crossings
         assert back.components == pd.components
+
+    @given(pd_inputs())
+    @settings(max_examples=200)
+    def test_every_accepted_code_round_trips(self, case):
+        # the constructor refuses the labels JSON would not carry, so what
+        # it accepts reads back as written
+        crossings, components, poisoned = case
+        try:
+            pd = PDCode(crossings, components)
+        except PDCodeError as exc:
+            assert poisoned, exc
+            return
+        assert not poisoned
+        data = json.loads(json.dumps(pd.to_json()))
+        assert PDCode.from_json(data).to_json() == data
+
+    @pytest.mark.parametrize("crossings, components, message", [
+        ([((1, 4, 2), 1)], [[1, 2]], "crossing needs 4 integer edge labels, "
+         "got (1, 4, 2)"),
+        ([((1, 4, 2, 3.0), 1)], [[1, 2], [3, 4]],
+         "crossing needs 4 integer edge labels, got (1, 4, 2, 3.0)"),
+        ([], [["1"]], "edge labels must be integers, got ['1']"),
+        ([], [[1.0]], "edge labels must be integers, got [1.0]"),
+        ([], [[True]], "edge labels must be integers, got [True]"),
+        ([], [[1], [1]], "an edge label appears in two components"),
+        ([((1, 4, 2, 3), 1), ((1, 3, 2, 4), 1)], [[1, 2], [3, 4]],
+         "edge 1 leaves two different crossings"),
+        ([], [[]], "empty component"),
+        ([((1, 4, 2, 3), 1), ((3, 2, 4, 1), 1)], [[1, 2, 5], [3, 4]],
+         "component (1, 2, 5) mixes crossing and crossingless edges"),
+    ], ids=["three-labels", "float-in-crossing", "str-label", "float-label",
+            "bool-label", "shared-label", "edge-leaves-twice", "empty",
+            "mixed-component"])
+    def test_refusals_name_the_rule(self, crossings, components, message):
+        with pytest.raises(PDCodeError, match=f"^{re.escape(message)}$"):
+            PDCode(crossings, components)
+
+    def test_odd_inter_component_crossing_count(self):
+        # one crossing between two components, each closed by a kink: the
+        # code is consistent, but no diagram has it
+        pd = PDCode([((1, 4, 2, 5), 1), ((2, 3, 3, 1), 1), ((5, 6, 6, 4), 1)],
+                    [[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(PDCodeError,
+                           match="^odd inter-component crossing count$"):
+            pd.linking_matrix([0, 0])
 
 
 class TestWirtingerPresentation:

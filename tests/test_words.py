@@ -1,6 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from kirbycalc.certify import IntegerMatrix
+from kirbycalc.framedlinks import hopf_link_model
+from kirbycalc.presentations import BalancedPresentation, Presentation
+from kirbycalc.wirtinger import trefoil_pd
 from kirbycalc.words import (IDENTITY, UnknownGeneratorError, Word,
                              WordSyntaxError, check_symbols, cyclic_reduce,
                              decode_word, encode_word, is_generator_name,
@@ -86,6 +90,39 @@ def test_words_hashable_and_immutable():
     assert hash(w) == hash(Word.from_text("x y"))
     with pytest.raises(AttributeError):
         w.letters = ()
+
+
+@pytest.mark.parametrize("value, field", [
+    (Word.from_text("x y"), "letters"),
+    (Presentation(("x", "y"), ("x y",)), "relators"),
+    (BalancedPresentation(("x",), ("x",)), "generators"),
+    (IntegerMatrix([[1, 2]]), "cols"),
+    (trefoil_pd(), "crossings"),
+    (hopf_link_model(), "linking"),
+], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
+def test_value_types_refuse_assignment_and_deletion(value, field):
+    # one guard for every value type; the message names the type
+    before = getattr(value, field)
+    for change in (lambda: setattr(value, field, before),
+                   lambda: delattr(value, field),
+                   lambda: setattr(value, "extra", 1)):
+        with pytest.raises(AttributeError,
+                           match=f"^{type(value).__name__} is immutable$"):
+            change()
+    assert getattr(value, field) is before
+    assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("sign", [2, 0, -2, True, 1.0, -1.0, "1"],
+                         ids=["2", "0", "-2", "bool", "float", "-float", "str"])
+def test_check_symbols_refuses_signs_other_than_one(sign):
+    # a Word keeps the signs it is given; check_symbols, which every
+    # presentation runs, is the gate
+    w = Word([("x", 1), ("y", sign)])
+    with pytest.raises(WordSyntaxError) as err:
+        check_symbols((w,), ("x", "y"))
+    assert str(err.value) == (f"bad letter ('y', {sign!r}): a sign is the "
+                              "integer +1 or -1")
 
 
 def test_letter_codes():
