@@ -327,13 +327,22 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     entries in the same order, and every result, counts included, is the
     HLT result letter for letter.
 
-    The table is one flat list: entry ``c * width + x`` is the coset reached
-    from ``c`` by letter ``x``, or -1.  Coincidences are processed as in COINC
-    (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 5.1), after
-    which rows of live cosets name only live cosets; so a scan, and the
-    compaction of a closed table, read entries directly, and the union-find
-    is consulted only while coincidences are processed.  A live row that
-    names a dead coset breaks that invariant and raises ``AssertionError``.
+    The table is one list per letter: ``cols[x][c]`` is the coset reached
+    from ``c`` by letter ``x``, or -1.  A scan holds the columns of its
+    word's letters, so each step is one list read, and COINC walks each
+    letter's column paired with its inverse's.  A run is written in bulk:
+    the columns grow at most once, and each maximal block of one letter in
+    the run is one slice assignment into that letter's column and one into
+    its inverse's, from one list of the new coset numbers.  The union-find
+    array ``rep`` holds the same int objects, so a coset costs one int
+    object however many entries name it, which keeps the peak memory down.
+
+    Coincidences are processed as in COINC (Holt-Eick-O'Brien, Handbook of
+    Computational Group Theory, 5.1), after which rows of live cosets name
+    only live cosets; so a scan, and the compaction of a closed table, read
+    entries directly, and the union-find is consulted only while
+    coincidences are processed.  A live row that names a dead coset breaks
+    that invariant and raises ``AssertionError``.
     """
     check_int(max_cosets, 1, "max_cosets", ValueError)
     gens = p.generators
@@ -342,27 +351,63 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     # subgroup words are checked and coerced as relators are
     subgroup = Presentation(gens, subgroup).relators
 
+    # rows n and beyond are blank room for the next definitions
+    cols = [[-1] * 64 for _ in range(width)]
+    pairs = tuple((cols[x], cols[x ^ 1]) for x in range(width))
+    # the columns each letter of a row completion writes, as a one-letter run
+    singles = tuple(((col,), (inv,), (1,)) for col, inv in pairs)
+
     def scans_of(words):
-        """Each nonempty word with the inverse letters its backward scan
-        reads."""
+        """Each nonempty word as the columns its forward scan reads, the
+        columns its backward scan reads, the end of the letter block at
+        each position, and its last position."""
         out = []
         for w in words:
             path = encode_word(w, codes)
             if path:
-                out.append((path, tuple(x ^ 1 for x in path), len(path) - 1))
+                ends = list(range(1, len(path) + 1))
+                for k in range(len(path) - 2, -1, -1):
+                    if path[k] == path[k + 1]:
+                        ends[k] = ends[k + 1]
+                out.append((tuple(cols[x] for x in path),
+                            tuple(cols[x ^ 1] for x in path),
+                            tuple(ends), len(path) - 1))
         return out
 
     scans = scans_of(p.relators)
     subgroup_scans = scans_of(subgroup)
 
-    blank = [-1] * width
-    pairs = tuple((x, x ^ 1) for x in range(width))
-    table = list(blank)
     rep = [0]                       # union-find over coset numbers
     n = 1                           # cosets defined, len(rep)
     # Live cosets only grow between coincidences, so their peak is read
     # at each coincidence and at the end.
     coincidences = dead = peak_live = 0
+
+    def define(f: int, fwd, bwd, ends, i: int, run: int) -> int:
+        """Define cosets n, ..., n + run - 1 along the letters i, ..., i +
+        run - 1 of a scan from f, and return the last."""
+        nonlocal n
+        ids = list(range(n, n + run))   # shared with the table (see above)
+        rep.extend(ids)
+        if n + run > len(cols[0]):
+            # the columns at least double, rather than grow by each run:
+            # fewer reallocations, which measured a lower peak RSS
+            grow = [-1] * max(run, len(cols[0]))
+            for col in cols:
+                col += grow
+        fwd[i][f] = ids[0]
+        bwd[i][ids[0]] = f
+        # letters i + 1, ...: coset ids[t - 1] to ids[t], t = k - i,
+        # written one block of equal letters at a time
+        k, stop = i + 1, i + run
+        while k < stop:
+            e = min(ends[k], stop)
+            t, u = k - i, e - i
+            fwd[k][n + t - 1:n + u - 1] = ids[t:u]
+            bwd[k][n + t:n + u] = ids[t - 1:u - 1]
+            k = e
+        n += run
+        return ids[-1]
 
     def coincidence(alpha: int, beta: int) -> None:
         """Merge two live cosets and every coincidence that follows."""
@@ -374,31 +419,28 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
         rep[beta] = alpha
         queue = [beta]
         for gamma in queue:             # a dead coset whose row is rewired
-            row = gamma * width
             # gamma's root, followed once per row: if a merge on one letter
             # kills it, it joins the queue after gamma, so what a later
             # letter writes into its row is carried on when it is processed
             mu = gamma
             while rep[mu] != mu:
                 rep[mu] = mu = rep[rep[mu]]
-            for x, xi in pairs:
-                delta = table[row + x]
+            for col, inv in pairs:
+                delta = col[gamma]
                 if delta < 0:
                     continue
-                table[delta * width + xi] = -1
+                inv[delta] = -1
                 nu = delta
                 while rep[nu] != nu:
                     rep[nu] = nu = rep[rep[nu]]
-                mx = mu * width + x
-                u = table[mx]
+                u = col[mu]
                 if u >= 0:
                     v = nu
                 else:
-                    nxi = nu * width + xi
-                    v = table[nxi]
+                    v = inv[nu]
                     if v < 0:
-                        table[mx] = nu
-                        table[nxi] = mu
+                        col[mu] = nu
+                        inv[nu] = mu
                         continue
                     u = mu
                 # merge u and v; the smaller root survives
@@ -422,19 +464,19 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
         if rep[alpha] != alpha:
             alpha += 1
             continue
-        for path, inv, last in pending:
+        for fwd, bwd, ends, last in pending:
             # trace the relator forward from alpha and backward to it
             f, i = alpha, 0
             b, j = alpha, last
             while True:
                 while i <= j:
-                    nxt = table[f * width + path[i]]
+                    nxt = fwd[i][f]
                     if nxt < 0:
                         break
                     f = nxt
                     i += 1
                 while j >= i:
-                    nxt = table[b * width + inv[j]]
+                    nxt = bwd[j][b]
                     if nxt < 0:
                         break
                     b = nxt
@@ -452,37 +494,23 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
                     if not run:
                         exhausted = True
                         break
-                    # one coset at a time, rep and its row sharing one int
-                    # object; growing the table by whole runs measured a
-                    # higher peak RSS
-                    for t in range(i, i + run):
-                        table += blank
-                        rep.append(n)
-                        table[f * width + path[t]] = n
-                        table[n * width + inv[t]] = f
-                        f = n
-                        n += 1
+                    f = define(f, fwd, bwd, ends, i, run)
                     i += run
                     if i < j:
                         continue
                 # deduction closes the gap
-                table[f * width + path[i]] = b
-                table[b * width + inv[i]] = f
+                fwd[i][f] = b
+                bwd[i][b] = f
                 break
             if exhausted or rep[alpha] != alpha:
                 break
         else:
-            row = alpha * width
-            for x, xi in pairs:
-                if table[row + x] < 0:
+            for fwd, bwd, ends in singles:
+                if fwd[0][alpha] < 0:
                     if n >= max_cosets:
                         exhausted = True
                         break
-                    table += blank
-                    rep.append(n)
-                    table[row + x] = n
-                    table[n * width + xi] = alpha
-                    n += 1
+                    define(alpha, fwd, bwd, ends, 0, 1)
         pending = scans
         alpha += 1
 
@@ -496,9 +524,8 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
 
     renumber = {c: k for k, c in enumerate(live_ids)}
     try:
-        compact = tuple(
-            tuple(renumber[d] for d in table[c * width:(c + 1) * width])
-            for c in live_ids)
+        compact = tuple(tuple(renumber[col[c]] for col in cols)
+                        for c in live_ids)
     except KeyError as exc:
         raise AssertionError(
             f"a live coset row names coset {exc.args[0]}, which is not live"
@@ -556,18 +583,20 @@ def certification_report(p: Presentation, max_cosets: int = 100_000) -> dict:
     When the abelianization is trivial, the cosets of <x>, x the first
     generator, are enumerated first.  Index 1 makes the group cyclic, so
     equal to its trivial abelianization: the report reads order 1 over that
-    subgroup.  Every other outcome (index above 1, budget, or a nontrivial
-    abelianization) enumerates the cosets of the trivial subgroup, whose
-    index is the order.  The order of a perfect group is thus never read
-    off the index of <x>.  ``verified`` proves only that the index is at
-    least the number of rows (see ``verify_coset_table``), so order 1 rests
-    on ``todd_coxeter`` closing.
+    subgroup.  A budget stop over <x> is reported as it stands, with no
+    second pass: the trivial subgroup has at least as many cosets, so its
+    pass seldom closes where this one did not, and would spend the budget
+    twice.  Index above 1, or a nontrivial abelianization, enumerates the
+    cosets of the trivial subgroup, whose index is the order.  The order of
+    a perfect group is thus never read off the index of <x>.  ``verified``
+    proves only that the index is at least the number of rows (see
+    ``verify_coset_table``), so order 1 rests on ``todd_coxeter`` closing.
     """
     abel = abelianization(p)
     coset = None
     if abel.is_trivial() and p.generators:
         coset = todd_coxeter(p, max_cosets, subgroup=p.generators[:1])
-    if coset is None or coset.index != 1:
+    if coset is None or coset.index not in (None, 1):
         coset = todd_coxeter(p, max_cosets)
     report = {
         "presentation": p.to_json(),
@@ -576,7 +605,8 @@ def certification_report(p: Presentation, max_cosets: int = 100_000) -> dict:
     }
     if coset.closed():
         report["coset"]["verified"] = verify_coset_table(coset, p)
-    if coset.subgroup:
-        # index 1: the group is cyclic, so it is its trivial abelianization
-        report["coset"]["order"] = 1
+        if coset.subgroup:
+            # index 1: the group is cyclic, so it is its trivial
+            # abelianization
+            report["coset"]["order"] = 1
     return report

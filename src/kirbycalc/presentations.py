@@ -115,6 +115,7 @@ def ac_multiply(p: BalancedPresentation, i: int, j: int, conj=IDENTITY):
         raise MoveError("multiplying a relator by its own conjugate is not an "
                         "Andrews-Curtis move")
     conj = _as_word(conj)
+    check_symbols((conj,), p.generators)
     rels = list(p.relators)
     rels[i] = rels[i] * conj * rels[j] * conj.inverse()
     return p.replace(relators=rels)
@@ -132,6 +133,7 @@ def ac_conjugate(p: BalancedPresentation, i: int, conj):
     """Replace relator i by the cyclic reduction of conj * r_i * conj^-1."""
     _check_index(p, i)
     conj = _as_word(conj)
+    check_symbols((conj,), p.generators)
     rels = list(p.relators)
     core, _ = cyclic_reduce(conj * rels[i] * conj.inverse())
     rels[i] = core

@@ -33,6 +33,8 @@ class Crossing:
             raise PDCodeError(f"crossing needs 4 integer edge labels, got {self.arcs}")
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise PDCodeError(f"crossing sign must be +1 or -1, got {self.sign}")
+        # a tuple, so that crossings given as lists compare and hash
+        object.__setattr__(self, "arcs", tuple(self.arcs))
 
     @property
     def under_in(self):
@@ -63,6 +65,14 @@ class PDCode(Immutable):
         self._validate(xs, comps)
         object.__setattr__(self, "crossings", xs)
         object.__setattr__(self, "components", comps)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PDCode)
+                and (self.crossings, self.components)
+                == (other.crossings, other.components))
+
+    def __hash__(self) -> int:
+        return hash((self.crossings, self.components))
 
     @staticmethod
     def _validate(xs, comps):

@@ -861,6 +861,19 @@ class TestReplay:
                              {"move": "conjugate", "i": 0, "conj": conj}])
         assert err.value.step == 1
 
+    @pytest.mark.parametrize("move", [
+        {"move": "conjugate", "i": 0, "conj": "z"},
+        {"move": "multiply", "i": 0, "j": 1, "conj": "z"}],
+        ids=["conjugate", "multiply"])
+    def test_conjugator_outside_the_generators(self, move):
+        # the conjugate of x y by z reduces cyclically to x y, and that of
+        # the empty relator is empty, yet the step is refused
+        p = B(("x", "y"), ("x y", ""))
+        with pytest.raises(TraceError) as err:
+            replay_trace(p, [{"move": "invert", "i": 0}, move])
+        assert err.value.step == 1
+        assert str(err.value) == "trace step 1: unknown generator symbol 'z'"
+
     @pytest.mark.parametrize("move", [5, "invert", [0], None])
     def test_move_must_be_an_object(self, move):
         p = B(("x",), ("x",))

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from kirbycalc import certify
 from kirbycalc.certify import (AbelianGroup, IntegerMatrix, MatrixError,
                                _cokernel, _diagonalize, abelianization, certification_report, exponent_matrix,
                                h1_from_matrix, smith_normal_form,
@@ -242,6 +243,26 @@ def small_presentations(draw):
     return Presentation(gens, [" ".join(r) for r in rels])
 
 
+def power_word(spec):
+    """The word of a block spec: "x5 Y3" is x^5 y^-3."""
+    return Word.from_text(" ".join(" ".join([tok[0]] * int(tok[1:]))
+                                   for tok in spec.split()))
+
+
+@st.composite
+def power_block_presentations(draw):
+    """Relators drawn as blocks of one letter, exponents 1 to 8, so that
+    scan gaps are long runs that change letter, which small_presentations
+    seldom makes."""
+    gens = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    letters = gens + tuple(g.upper() for g in gens)
+    blocks = st.lists(st.tuples(st.sampled_from(letters), st.integers(1, 8)),
+                      min_size=1, max_size=5)
+    rels = draw(st.lists(blocks, min_size=1, max_size=3))
+    return Presentation(gens, [power_word(" ".join(f"{a}{e}" for a, e in r))
+                               for r in rels])
+
+
 # finite groups whose enumeration hits many coincidences
 FINITE_GROUPS = {
     "A5": (Presentation(("x", "y"), ("x x", "y y y", "x y x y x y x y x y")), 60),
@@ -253,10 +274,11 @@ FINITE_GROUPS = {
 
 
 class TestToddCoxeterAgainstReference:
-    """The flat-table enumerator, which defines each gap of a scan as one
-    run of cosets, gives the same CosetTable, field for field and count for
-    count, as the list-of-rows implementation it replaced, over the trivial
-    subgroup and over <first generator>."""
+    """The enumerator, which keeps one column per letter and defines each
+    gap of a scan as one run of cosets written in blocks of one letter,
+    gives the same CosetTable, field for field and count for count, as the
+    list-of-rows implementation it replaced, over the trivial subgroup and
+    over <first generator>."""
 
     @given(small_presentations(), st.integers(1, 3000))
     @settings(max_examples=200, deadline=None)
@@ -284,7 +306,28 @@ class TestToddCoxeterAgainstReference:
                 table = _same_as_reference(ak_presentation(n, w), 50_000)
                 assert table.closed() and table.order == 1
 
-    @pytest.mark.parametrize("n", [60, 100, 150])
+    @given(power_block_presentations(), st.integers(1, 600))
+    @settings(max_examples=150, deadline=None)
+    def test_power_block_presentations(self, p, budget):
+        for subgroup in ((), p.generators[:1]):
+            _same_as_reference(p, budget, subgroup)
+
+    @pytest.mark.parametrize("specs", [
+        ("x5 Y3 x2 y4",), ("x7 y7 X6",), ("x5 Y3 x2 y4", "x1 y1"),
+        ("x5 Y3 x2 y4", "y3"), ("x7 y7 X6", "x2"), ("x7 y7 X6", "x2 y1"),
+        ("x5 Y3 x2 y4", "x7 y7 X6")])
+    def test_power_blocks_at_every_budget(self, specs):
+        # runs that change letter part way, blocks of one letter, the one
+        # definition made when a scan's two ends are one coset, and budgets
+        # that end a block part way; the groups of one relator are
+        # infinite, so their budgets stop at a cap
+        p = Presentation(("x", "y"), [power_word(s) for s in specs])
+        for subgroup in ((), ("x",)):
+            defined = todd_coxeter(p, 300, subgroup=subgroup).defined
+            for budget in range(1, defined + 2):
+                _same_as_reference(p, budget, subgroup)
+
+    @pytest.mark.parametrize("n", [60, 100, 150, 300])
     def test_long_runs_over_x(self, n):
         # each scan of x^(n+1) Y^n leaves a gap of about n letters, which
         # the enumerator defines as one run
@@ -466,13 +509,21 @@ class TestCertificationReport:
         coset = certification_report(p, 1000)["coset"]
         assert (coset["subgroup"], coset["order"]) == ([], order)
 
-    def test_budget_over_x_falls_back(self):
-        # the report is then the trivial-subgroup pass, as it always was
+    def test_budget_over_x_is_the_report(self, monkeypatch):
+        # the trivial subgroup has at least as many cosets, so its pass is
+        # not run: the report is the <x> table that stopped at the budget
         p = ak_presentation(5, "y x")
-        assert todd_coxeter(p, 10, subgroup=("x",)).status == "budget"
+        over_x = todd_coxeter(p, 10, subgroup=("x",))
+        assert over_x.status == "budget"
+        calls = []
+        monkeypatch.setattr(certify, "todd_coxeter", lambda *args, **kw:
+                            calls.append(kw) or todd_coxeter(*args, **kw))
         report = certification_report(p, 10)
-        assert report["coset"] == todd_coxeter(p, 10).to_json()
-        assert report["coset"]["status"] == "budget"
+        assert calls == [{"subgroup": ("x",)}]
+        assert report["coset"] == over_x.to_json()
+        assert report["coset"]["subgroup"] == ["x"]
+        assert "order" not in report["coset"]
+        assert "verified" not in report["coset"]
 
     @given(two_generator_presentations(), st.integers(50, 2000))
     @settings(max_examples=150, deadline=None)

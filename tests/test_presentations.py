@@ -206,6 +206,18 @@ class TestMoves:
         got = ac_conjugate(B(("x", "y"), ("x y", "y")), 0, "x")
         assert texts(got)[0] == " ".join(raw)
 
+    @pytest.mark.parametrize("conj, error", [
+        (Word([("y", 2)]), WordSyntaxError), ("z", UnknownGeneratorError)],
+        ids=["bad-sign", "unknown-generator"])
+    def test_bad_conjugator_is_refused(self, conj, error):
+        # cyclic reduction would cut the conjugator off x y, and its
+        # conjugate of the empty relator is empty: neither hides it
+        p = B(("x", "y"), ("x y", ""))
+        with pytest.raises(error):
+            ac_conjugate(p, 0, conj)
+        with pytest.raises(error):
+            ac_multiply(p, 0, 1, conj)
+
     def test_stabilize_destabilize_examples(self):
         p = B(("x",), ("x",))
         s = stabilize(p)

@@ -141,6 +141,28 @@ class TestPDValidation:
         assert back.crossings == pd.crossings
         assert back.components == pd.components
 
+    def test_crossing_arcs_are_a_tuple(self):
+        # arcs given as a list are stored as a tuple: the crossing hashes
+        # and equals the one given the same labels as a tuple
+        listed = Crossing([1, 4, 2, 3], 1)
+        assert listed.arcs == (1, 4, 2, 3)
+        assert listed == Crossing((1, 4, 2, 3), 1)
+        assert hash(listed) == hash(Crossing((1, 4, 2, 3), 1))
+        assert listed != Crossing((1, 4, 2, 3), -1)
+
+    def test_pd_codes_compare_by_crossings_and_components(self):
+        pd = trefoil_pd()
+        back = PDCode.from_json(json.loads(json.dumps(pd.to_json())))
+        assert back == pd and hash(back) == hash(pd)
+        assert len({pd, back, trefoil_pd()}) == 1
+        assert pd != pd.mirror()
+        assert pd != pd.to_json()
+        # the same link with its components listed in another order is a
+        # different code; equality up to relabeling is not attempted
+        crossings = [((1, 4, 2, 3), 1), ((3, 2, 4, 1), 1)]
+        assert (PDCode(crossings, [[1, 2], [3, 4]])
+                != PDCode(crossings, [[3, 4], [1, 2]]))
+
     @given(pd_inputs())
     @settings(max_examples=200)
     def test_every_accepted_code_round_trips(self, case):
@@ -155,6 +177,7 @@ class TestPDValidation:
         assert not poisoned
         data = json.loads(json.dumps(pd.to_json()))
         assert PDCode.from_json(data).to_json() == data
+        assert PDCode.from_json(data) == pd
 
     @pytest.mark.parametrize("crossings, components, message", [
         ([((1, 4, 2), 1)], [[1, 2]], "crossing needs 4 integer edge labels, "
