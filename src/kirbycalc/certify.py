@@ -343,6 +343,18 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     entries directly, and the union-find is consulted only while
     coincidences are processed.  A live row that names a dead coset breaks
     that invariant and raises ``AssertionError``.
+
+    A total collapse ends at once.  At queue positions 0, 1, 2, 4, 8, ...
+    COINC checks whether every entry of coset 0's row is defined and has
+    root 0.  Then coset 0's class maps to itself under every letter.  The
+    closure of the merges is a congruence, and every coset is reached from
+    coset 0 along entries, so every coset joins that class and the index
+    is 1.  Row 0 becomes self-loops and the enumeration stops, without
+    rewiring the other queued rows or stepping over the dead cosets.  The
+    result is the whole pass's, counts included: the closure is unique,
+    the smaller root survives, and after a collapse every scan at coset 0
+    closes, so nothing more is defined or merged.  A budget table's live
+    count is the defined cosets less those merged away.
     """
     check_int(max_cosets, 1, "max_cosets", ValueError)
     gens = p.generators
@@ -382,6 +394,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     # Live cosets only grow between coincidences, so their peak is read
     # at each coincidence and at the end.
     coincidences = dead = peak_live = 0
+    collapsed = False               # every coset joined coset 0 (see above)
 
     def define(f: int, fwd, bwd, ends, i: int, run: int) -> int:
         """Define cosets n, ..., n + run - 1 along the letters i, ..., i +
@@ -411,14 +424,32 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
 
     def coincidence(alpha: int, beta: int) -> None:
         """Merge two live cosets and every coincidence that follows."""
-        nonlocal coincidences, dead, peak_live
+        nonlocal coincidences, dead, peak_live, collapsed
         coincidences += 1
         peak_live = max(peak_live, len(rep) - dead)
         if alpha > beta:
             alpha, beta = beta, alpha
         rep[beta] = alpha
         queue = [beta]
-        for gamma in queue:             # a dead coset whose row is rewired
+        check = 0                       # next queue position to test row 0
+        for k, gamma in enumerate(queue):   # gamma: a dead coset to rewire
+            if k == check:
+                check = 2 * k or 1
+                for col in cols:
+                    mu = col[0]
+                    if mu < 0:
+                        break
+                    while rep[mu] != mu:
+                        mu = rep[mu]
+                    if mu:
+                        break
+                else:
+                    # coset 0's class maps to itself under every letter,
+                    # so every coset joins it (see above)
+                    for col in cols:
+                        col[0] = 0
+                    collapsed = True
+                    return
             # gamma's root, followed once per row: if a merge on one letter
             # kills it, it joins the queue after gamma, so what a later
             # letter writes into its row is carried on when it is processed
@@ -460,7 +491,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
     # coset 0, the subgroup, is never merged away; its subgroup words
     # return to it, so they are scanned there like relators, before them
     pending = subgroup_scans + scans
-    while alpha < n and not exhausted:
+    while alpha < n and not (exhausted or collapsed):
         if rep[alpha] != alpha:
             alpha += 1
             continue
@@ -502,7 +533,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
                 fwd[i][f] = b
                 bwd[i][b] = f
                 break
-            if exhausted or rep[alpha] != alpha:
+            if exhausted or collapsed or rep[alpha] != alpha:
                 break
         else:
             for fwd, bwd, ends in singles:
@@ -514,14 +545,16 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000,
         pending = scans
         alpha += 1
 
-    live_ids = [c for c in range(n) if rep[c] == c]
     defined = n
-    live = len(live_ids)
+    # a collapse leaves COINC before its queue is counted dead
+    live = 1 if collapsed else n - dead
     counts = dict(subgroup=subgroup, coincidences=coincidences,
                   peak_live=max(peak_live, live))
     if exhausted:
         return CosetTable("budget", (), None, live, defined, **counts)
 
+    # after a collapse the other cosets' rows are stale and never read
+    live_ids = [0] if collapsed else [c for c in range(n) if rep[c] == c]
     renumber = {c: k for k, c in enumerate(live_ids)}
     try:
         compact = tuple(tuple(renumber[col[c]] for col in cols)

@@ -97,8 +97,10 @@ def summarize(report: dict) -> str:
     lines.append(f"abelianization: "
                  f"{AbelianGroup(ab['rank'], tuple(ab['torsion']))}")
     coset = report["coset"]
-    done = (f"({coset['defined']} cosets defined, "
-            f"verified={coset.get('verified')})")
+    # verify_coset_table proves a lower bound on the index, not the order
+    rows = ("rows verified: index ≥ rows" if coset.get("verified")
+            else "rows not verified")
+    done = f"({coset['defined']} cosets defined, {rows})"
     if coset["status"] == "closed" and coset["subgroup"]:
         lines.append(f"coset enumeration: closed over "
                      f"⟨{', '.join(coset['subgroup'])}⟩, index "

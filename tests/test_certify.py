@@ -351,6 +351,82 @@ class TestToddCoxeterAgainstReference:
             assert table.index in (None, 1)
 
 
+@st.composite
+def ac_trivial_presentations(draw):
+    """A few Andrews-Curtis moves from <x, y | x, y>, so the group is
+    trivial; relators multiplied through conjugates make coincidences."""
+    p = BalancedPresentation(("x", "y"), ("x", "y"))
+    letters = st.tuples(st.sampled_from("xy"), st.sampled_from((1, -1)))
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("mul", "mul", "inv", "conj")))
+        i = draw(st.integers(0, 1))
+        conj = Word(draw(st.lists(letters, max_size=3)))
+        if kind == "mul":
+            p = ac_multiply(p, i, 1 - i, conj)
+        elif kind == "inv":
+            p = ac_invert(p, i)
+        else:
+            p = ac_conjugate(p, i, conj)
+    return p
+
+
+def _budgets(defined, every=200):
+    """Every budget to defined + 1 for a small enumeration; for a larger
+    one about 40 spread over that range and the last three."""
+    if defined <= every:
+        return range(1, defined + 2)
+    return sorted({*range(1, defined + 2, defined // 40),
+                   defined - 1, defined, defined + 1})
+
+
+class TestTotalCollapse:
+    """COINC stops as soon as coset 0's class maps to itself under every
+    letter: every coset then joins it, and the table is the one-row table
+    the whole pass would give.  These compare the enumerator with the
+    reference where that exit is taken, and where a coincidence leaves
+    row 0 self-looped on some letters only, or incomplete, so it must not
+    be."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 10, 20, 40])
+    def test_family_members_at_every_budget(self, n):
+        for w in ("y x", "y X", "Y x", "Y X"):
+            p = ak_presentation(n, w)
+            for subgroup in ((), ("x",)):
+                defined = todd_coxeter(p, 50_000, subgroup=subgroup).defined
+                for budget in _budgets(defined):
+                    table = _same_as_reference(p, budget, subgroup)
+                    assert table.closed() == (budget >= defined)
+                assert table.index == 1 and table.table == ((0, 0, 0, 0),)
+                assert verify_coset_table(table, p)
+
+    @given(ac_trivial_presentations())
+    @settings(max_examples=150, deadline=None)
+    def test_ac_moves_from_the_trivial_presentation(self, p):
+        for subgroup in ((), ("x",)):
+            defined = todd_coxeter(p, 3000, subgroup=subgroup).defined
+            for budget in _budgets(defined, every=100):
+                table = _same_as_reference(p, budget, subgroup)
+            assert table.index in (None, 1)
+
+    @pytest.mark.parametrize("rels, subgroup, index", [
+        # row 0 complete, x self-looped, y not
+        (("y y y", "x x", "x"), (), 3),
+        (("y y y", "x x x", "x"), (), 3),
+        (("x x", "y y y", "x y x y x y x y x y"), ("x",), 30),
+        # coincidences while coset 0's row is still being scanned
+        (("x x", "x", "y y y"), (), 3),
+        (("x x x", "x", "y y y"), (), 3),
+        (("y x Y x", "x", "y y y"), (), 3),
+    ], ids=["y3-x2-x", "y3-x3-x", "A5-over-x", "x2-x-y3", "x3-x-y3",
+            "yxYx-x-y3"])
+    def test_partial_self_loops_do_not_collapse(self, rels, subgroup, index):
+        p = Presentation(("x", "y"), rels)
+        full = todd_coxeter(p, 10_000, subgroup=subgroup)
+        assert full.index == index and full.coincidences
+        for budget in range(1, full.defined + 2):
+            _same_as_reference(p, budget, subgroup)
+
+
 def _cycle_length(table, x):
     """Length of the cycle of letter column ``x`` through coset 0."""
     c, k = table.table[0][x], 1
